@@ -308,7 +308,7 @@ fn obs_main(raw: &[String]) -> ExitCode {
     //    *same* identity view, so the slot swap is a genuine S₂
     //    symmetry for any m) under full reduction, on a fresh probe:
     //    orbit-dedup hits and canonicalization time are keyed per
-    //    engine worker (key 0 = the sequential engine).
+    //    engine worker (key 0 = the first, or only, worker).
     let sym_probe = MemProbe::new();
     let sym_sim = Simulation::builder()
         .process(AnonMutex::new(pid(1), m).unwrap(), View::identity(m))

@@ -97,7 +97,7 @@ pub struct Row {
     pub workload: Workload,
     /// The symmetry mode the explorer quotiented by.
     pub mode: SymmetryMode,
-    /// Explorer worker threads (`1` = the sequential engine).
+    /// Explorer workers (`1` = one worker on the calling thread).
     pub threads: usize,
     /// Stored orbit representatives.
     pub states: usize,
@@ -410,7 +410,7 @@ mod tests {
     /// `BENCH_explore.json`. The encoder now detects that at build time
     /// and takes the identity fast path. Deterministic assertion, not a
     /// wall-clock one: the probe must report *skipped* encodes and no
-    /// canonicalization time on both engines.
+    /// canonicalization time at one worker and at several.
     #[test]
     fn registers_fast_path_skips_trivial_orbits_on_both_engines() {
         use anonreg_obs::{MemProbe, Metric};

@@ -293,7 +293,7 @@ mod tests {
             200_000,
         )
         .unwrap();
-        assert_eq!(run.profiles.len(), 1, "sequential engine is one worker");
+        assert_eq!(run.profiles.len(), 1, "parallelism 1 is one worker");
         assert!(run.states > 100);
         let stacks: Vec<&str> = run.profiles[0]
             .frames

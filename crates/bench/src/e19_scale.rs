@@ -61,7 +61,7 @@ pub struct Row {
     pub workload: Workload,
     /// The reduction/spill configuration.
     pub config: RunConfig,
-    /// Explorer worker threads (`1` = the sequential engine).
+    /// Explorer workers (`1` = one worker on the calling thread).
     pub threads: usize,
     /// The exploration counters.
     pub stats: ExploreStats,

@@ -20,7 +20,7 @@
 //! gives every state a *canonical index* (its rank) that is identical no
 //! matter which engine — or which run — produced the certificate; edges
 //! are recorded against those ranks, which is what makes certificates
-//! from the race-ordered parallel engine byte-comparable to sequential
+//! from race-ordered multi-worker runs byte-comparable to one-worker
 //! ones. The state and edge fingerprints are wrapping sums of per-item
 //! [`fp128`] values, so they are order-independent and recomputable in
 //! one streaming pass; the verdict fingerprint additionally folds each

@@ -6,11 +6,11 @@
 //! milestone events are announced *by* them, so restricting expansion to
 //! the local steps preserves every reachability and fairness verdict the
 //! reproduction checks. This suite holds the reduction to that promise on
-//! every algorithm family, against both engines:
+//! every algorithm family, at one worker and at several:
 //!
 //! * the reduced graph never has more states or edges than the full one;
 //! * the family's safety verdict is bit-identical with POR on and off;
-//! * the sequential and parallel engines agree on the reduced graph
+//! * one-worker and multi-worker runs agree on the reduced graph
 //!   exactly (isomorphism up to state renumbering);
 //! * `run_stats` counts exactly what `run` materialises under POR;
 //! * POR composed with `SymmetryMode::Registers` — sound because
@@ -98,7 +98,7 @@ where
     }
 }
 
-/// Runs the family with POR off and on, across both engines, and asserts
+/// Runs the family with POR off and on, at 1 and several workers, and asserts
 /// the contract described in the module docs. `violated` is the family's
 /// safety predicate; its verdict must not move under the reduction.
 fn check_por_parity<M>(

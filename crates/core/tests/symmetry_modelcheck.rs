@@ -8,9 +8,9 @@
 //! bit-identical across the three modes. Only the *state counts* may
 //! shrink.
 //!
-//! The parallel engine must agree with the sequential one under symmetry
-//! too. Which concrete orbit representative gets stored is racy there, so
-//! the cross-engine comparison uses state/edge counts plus verdicts, not
+//! Several workers must agree with one under symmetry too. Which
+//! concrete orbit representative gets stored is racy there, so the
+//! cross-worker-count comparison uses state/edge counts plus verdicts, not
 //! graph isomorphism.
 
 use std::collections::BTreeSet;
@@ -327,7 +327,7 @@ fn full_mode_reduces_symmetric_mutex_at_least_2x() {
         mutex_verdicts(&off, AnonMutex::section),
         mutex_verdicts(&full, AnonMutex::section)
     );
-    // The parallel engine lands on the same orbit set.
+    // Four workers land on the same orbit set.
     let par = explore(&build, SymmetryMode::Full, 4);
     assert_eq!(par.state_count(), full.state_count());
     assert_eq!(par.edge_count(), full.edge_count());

@@ -99,10 +99,6 @@ pub enum Metric {
     /// Successor transitions the ample-set reduction pruned, same keying
     /// as [`Metric::PorAmple`].
     PorPruned,
-    /// Definite bloom-filter misses during dedup: probes the pre-screen
-    /// proved fresh without consulting the exact table. Keyed like
-    /// [`Metric::SymmetryHits`].
-    BloomNeg,
     /// Canonical code bytes written to the on-disk spill tier.
     SpillBytes,
     /// Dedup verifications served by reading a spilled code back from
@@ -151,7 +147,6 @@ impl Metric {
             Metric::StressViolations => "stress_violations",
             Metric::PorAmple => "por_ample",
             Metric::PorPruned => "por_pruned",
-            Metric::BloomNeg => "bloom_neg",
             Metric::SpillBytes => "spill_bytes",
             Metric::SpillReads => "spill_reads",
             Metric::DedupUnverified => "dedup_unverified",
@@ -665,7 +660,6 @@ mod tests {
         assert_eq!(Metric::StaleReads.name(), "stale_reads");
         assert_eq!(Metric::PorAmple.name(), "por_ample");
         assert_eq!(Metric::PorPruned.name(), "por_pruned");
-        assert_eq!(Metric::BloomNeg.name(), "bloom_neg");
         assert_eq!(Metric::SpillBytes.name(), "spill_bytes");
         assert_eq!(Metric::SpillReads.name(), "spill_reads");
         assert_eq!(Metric::DedupUnverified.name(), "dedup_unverified");

@@ -32,15 +32,16 @@ use crate::schema::STREAM_SCHEMA_VERSION;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum Phase {
-    /// Cloning a state and stepping the machine (both engines).
+    /// Cloning a state and stepping the machine (explorer workers).
     Step,
     /// Canonical orbit encoding of a reached state.
     Canon,
     /// Dedup lookup/insert against the intern table or shards.
     Dedup,
-    /// Stealing work from another worker's frontier (parallel engine).
+    /// Taking the next work item: from the worker's own frontier, or
+    /// stolen from another worker's (explorer workers).
     Steal,
-    /// Spinning/yielding with nothing to do (parallel engine).
+    /// Spinning/yielding with nothing to do (explorer workers).
     Idle,
     /// A runtime process executing its entry or exit protocol.
     Doorway,
@@ -51,7 +52,7 @@ pub enum Phase {
     Critical,
     /// Dedup lookup/insert against the spill-backed code store — the
     /// lock-free table probe plus the LRU/disk verification tier. The
-    /// parallel engine charges interns here instead of
+    /// explorer charges interns here instead of
     /// [`Phase::Dedup`] when spilling is on, so profiles separate table
     /// time from IO.
     Spill,
@@ -200,7 +201,7 @@ impl PhaseTimer {
     }
 
     /// Replaces the top of stack (or pushes onto an empty stack): the
-    /// cheap flat-phase transition both engines use.
+    /// cheap flat-phase transition the explorer workers use.
     pub fn switch(&mut self, phase: Phase) {
         if self.stack.last() == Some(&phase) {
             return;

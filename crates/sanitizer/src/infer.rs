@@ -310,7 +310,7 @@ pub fn runtime_site_notes() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// Structural certificates for the parallel explorer's lock-free dedup
+/// Structural certificates for the explorer's lock-free dedup
 /// substrate (`anonreg-sim`'s `explore/dedup.rs` and `explore/par.rs`).
 /// Like [`runtime_site_notes`] these are architectural arguments, not
 /// family sweeps: each justifies why an ordering weaker than `SeqCst` is
@@ -340,13 +340,6 @@ pub fn explorer_site_notes() -> Vec<(&'static str, &'static str)> {
              spinning reader can only wait on live progress or observe the abort flag",
         ),
         (
-            "ORD-DEDUP-BLOOM-004",
-            "Bloom filter words (Relaxed fetch_or / load): bits are set before the claim \
-             CAS, so a single-threaded probe sequence is never-false-negative; under \
-             concurrency a query may race a sibling's insert, so the parallel engine \
-             treats a miss as a statistic and never skips slot verification on it",
-        ),
-        (
             "ORD-EXP-PENDING-005",
             "parallel explorer pending counter (Relaxed fetch_add/fetch_sub/load): on this \
              single atomic, every child's increment precedes its parent's decrement in the \
@@ -368,6 +361,15 @@ pub fn explorer_site_notes() -> Vec<(&'static str, &'static str)> {
              only — no data is published through it, the authoritative error is decided \
              on the main thread after the worker joins, and finite-time visibility \
              bounds the overshoot to a handful of extra expansions",
+        ),
+        (
+            "ORD-DEDUP-GROW-008",
+            "FpTable claim budget (Relaxed fetch_add / fetch_sub on claims): a pure \
+             admission counter — the coherent modification order of this one atomic \
+             alone bounds the claimed-or-claiming slots of a table generation by its \
+             budget; no payload is read through it, and the doubling that resets the \
+             budget synchronises through the table's RwLock (probers hold a read guard \
+             across each intern batch, the rehash runs under the write guard)",
         ),
     ]
 }
@@ -736,10 +738,10 @@ mod tests {
             "ORD-DEDUP-CLAIM-001",
             "ORD-DEDUP-META-002",
             "ORD-DEDUP-SPIN-003",
-            "ORD-DEDUP-BLOOM-004",
             "ORD-EXP-PENDING-005",
             "ORD-DEDUP-FLUSH-006",
             "ORD-EXP-ABORT-007",
+            "ORD-DEDUP-GROW-008",
         ];
         for id in cited {
             assert!(notes.iter().any(|(n, _)| *n == id), "missing note {id}");

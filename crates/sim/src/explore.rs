@@ -29,38 +29,36 @@
 //! let graph = Explorer::new(sim)
 //!     .max_states(500_000)   // or .limits(ExploreConfig { .. })
 //!     .crashes(true)         // also explore crash transitions
-//!     .parallelism(4)        // worker threads (1 = sequential, 0 = auto)
+//!     .parallelism(4)        // worker threads (0 = one per CPU)
 //!     .probe(&probe)         // live metrics (optional)
 //!     .run()?;
 //! ```
 //!
-//! With `parallelism(1)` (the default) the graph is produced by a
-//! deterministic sequential loop and state ids are *canonical*: two runs
-//! number the states identically, so golden tests and recorded
-//! [`StateGraph::schedule_to`] replays stay stable. With more threads the
-//! breadth-parallel engine (sharded dedup table, per-worker frontier
-//! deques with work stealing, interned states) explores the same graph —
-//! same states, same transition structure — but discovery order, and
-//! therefore the numbering, depends on the race between workers. Analyses
-//! on [`StateGraph`] are order-independent (see
+//! Every run goes through one engine (`explore/par.rs`): workers with
+//! their own frontier deques and work stealing, deduplicating through a
+//! lock-free fingerprint table that grows with the run. With
+//! `parallelism(1)` (the default) there is one worker and state ids are
+//! *canonical*: two runs number the states identically, so golden tests
+//! and recorded [`StateGraph::schedule_to`] replays stay stable. With
+//! more workers the engine explores the same graph — same states, same
+//! transition structure — but discovery order, and therefore the
+//! numbering, depends on the race between workers. Analyses on
+//! [`StateGraph`] are order-independent (see
 //! [`StateGraph::nontrivial_sccs`]), so results agree either way.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use anonreg_model::fingerprint::{fp128, Fp128};
+use anonreg_model::fingerprint::Fp128;
 use anonreg_model::structural::StructuralHasher;
 use anonreg_model::{Machine, PidMap, SymmetryMode, View};
-use anonreg_obs::{Metric, NoopProbe, Phase, Probe, Profiler, Span};
+use anonreg_obs::{Metric, NoopProbe, Probe, Profiler};
 
 use crate::canon::StateEncoder;
-use crate::{Simulation, StepOutcome};
-
-use self::dedup::Bloom;
+use crate::Simulation;
 
 pub mod cert;
 mod dedup;
@@ -76,9 +74,10 @@ pub struct ExploreConfig {
     /// process may crash (§2's failure model). Roughly doubles the state
     /// space per process; off by default.
     pub crashes: bool,
-    /// Number of worker threads. `1` (the default) uses the deterministic
-    /// sequential engine with canonical state ids; `0` means "one worker
-    /// per available CPU"; anything else runs the breadth-parallel engine.
+    /// Number of exploration workers. `1` (the default) is one worker on
+    /// the calling thread, numbering states canonically; `0` means "one
+    /// worker per available CPU"; `n > 1` runs `n` workers on scoped
+    /// threads, numbering states in race order.
     pub parallelism: usize,
     /// Ample-set partial-order reduction: when some live processes are
     /// poised at a register-free local step (an event or a halt), explore
@@ -86,10 +85,9 @@ pub struct ExploreConfig {
     /// interleavings. See [`Explorer::por`] for the soundness argument.
     /// Incompatible with [`crashes`](ExploreConfig::crashes).
     pub por: bool,
-    /// Parallel engine only: spill interned canonical codes to disk
-    /// behind an in-memory LRU tier, so the dedup table's memory use no
-    /// longer grows with the code bytes of every distinct state. See
-    /// [`Explorer::spill`].
+    /// Spill interned canonical codes to disk behind an in-memory LRU
+    /// tier, so the dedup table's memory use no longer grows with the
+    /// code bytes of every distinct state. See [`Explorer::spill`].
     pub spill: bool,
 }
 
@@ -113,7 +111,7 @@ pub enum ExploreError {
         /// The configured limit.
         limit: usize,
     },
-    /// A parallel-engine worker panicked mid-expansion. The run shut
+    /// An exploration worker panicked mid-expansion. The run shut
     /// down cleanly (the panicking worker's pending count was released
     /// by a drop guard, so the siblings drained and exited), but the
     /// graph is incomplete and no verdict can be drawn from it.
@@ -338,14 +336,14 @@ where
     ///
     /// The reduced graph has fewer states and edges; safety, fair-
     /// livelock and starvation verdicts are unchanged (enforced across
-    /// every family and both engines by the POR parity suite).
+    /// every family and worker counts by the POR parity suite).
     pub fn por(mut self, por: bool) -> Self {
         self.config.por = por;
         self
     }
 
-    /// Parallel engine only: spills interned canonical codes to
-    /// per-worker temp files behind a sharded in-memory LRU tier.
+    /// Spills interned canonical codes to per-worker temp files behind a
+    /// sharded in-memory LRU tier, at any parallelism.
     ///
     /// Dedup candidates are verified against the LRU, then against the
     /// spill file when the bytes are already flushed; a candidate whose
@@ -357,9 +355,10 @@ where
         self
     }
 
-    /// Sets the number of worker threads: `1` for the deterministic
-    /// sequential engine (canonical state ids), `0` for one worker per
-    /// available CPU, `n > 1` for the breadth-parallel engine.
+    /// Sets the number of exploration workers: `1` for one worker on the
+    /// calling thread (canonical state ids), `0` for one worker per
+    /// available CPU, `n > 1` for `n` workers on scoped threads (ids in
+    /// race order).
     pub fn parallelism(mut self, parallelism: usize) -> Self {
         self.config.parallelism = parallelism;
         self
@@ -368,12 +367,12 @@ where
     /// Attaches a live [`Probe`].
     ///
     /// The exploration then emits `explore_states`/`explore_edges`/
-    /// `explore_dedup` counters (the parallel engine keys dedup counters
-    /// and `explore_steals` by worker), sampled
+    /// `explore_dedup` counters (dedup counters keyed by worker), sampled
     /// `explore_frontier`/`explore_depth` gauges (final values exact),
     /// one `explore` span whose length is the number of distinct states,
-    /// and — parallel engine only — one `explore_worker` span per worker
-    /// whose length is the number of states that worker expanded.
+    /// and — with more than one worker — `explore_steals` counters and
+    /// one `explore_worker` span per worker whose length is the number of
+    /// states that worker expanded.
     /// Counters are flushed incrementally on the gauge sampling cadence
     /// (totals stay exact), so a live stream attached to the probe sees
     /// the exploration progress while it is still running. With
@@ -392,9 +391,10 @@ where
 
     /// Attaches a wall-clock [`Profiler`].
     ///
-    /// Each engine worker then keeps a [`Phase`] timer — `step` (clone +
-    /// machine step), `canon` (canonical/plain encoding), `dedup`
-    /// (intern-table probe), plus `steal`/`idle` in the parallel engine —
+    /// Each engine worker then keeps an [`anonreg_obs::Phase`] timer —
+    /// `step` (clone + machine step), `canon` (canonical/plain encoding),
+    /// `dedup` (intern-table probe; `spill` when spilling), `steal`
+    /// (taking the next work item) and `idle` —
     /// and records its per-phase self-times into the profiler when the
     /// exploration ends, including on the state-limit error path. Runs
     /// without a profiler pay nothing.
@@ -527,24 +527,16 @@ where
             .map(|path| (path, self.structural_hash()));
         let verdicts = std::mem::take(&mut self.verdicts);
         let encoder = self.encoder;
-        let graph = if threads <= 1 {
-            run_sequential(
-                self.initial,
-                &self.config,
-                self.probe,
-                &encoder,
-                self.profiler.as_deref(),
-            )
-        } else {
-            par::run_parallel(
-                self.initial,
-                &self.config,
-                self.probe,
-                threads,
-                &encoder,
-                self.profiler.as_deref(),
-            )
-        }?;
+        let (graph, _) = par::run(
+            self.initial,
+            &self.config,
+            self.probe,
+            threads,
+            &encoder,
+            self.profiler.as_deref(),
+            true,
+        )?;
+        let graph = graph.expect("graph mode materialises a graph");
         if let Some((path, structural)) = emit {
             cert::write_graph(&graph, &encoder, structural, &verdicts, &path).map_err(|e| {
                 ExploreError::Certificate {
@@ -622,24 +614,16 @@ where
     /// Same conditions as [`Explorer::run`].
     pub fn run_stats(self) -> Result<ExploreStats, ExploreError> {
         let threads = self.validate()?;
-        if threads <= 1 {
-            run_sequential_stats(
-                self.initial,
-                &self.config,
-                self.probe,
-                &self.encoder,
-                self.profiler.as_deref(),
-            )
-        } else {
-            par::run_parallel_stats(
-                self.initial,
-                &self.config,
-                self.probe,
-                threads,
-                &self.encoder,
-                self.profiler.as_deref(),
-            )
-        }
+        let (_, stats) = par::run(
+            self.initial,
+            &self.config,
+            self.probe,
+            threads,
+            &self.encoder,
+            self.profiler.as_deref(),
+            false,
+        )?;
+        Ok(stats)
     }
 
     /// Shared run-time validation; returns the resolved thread count.
@@ -668,538 +652,6 @@ pub struct ExploreStats {
     pub dedup: u64,
     /// Maximum discovery depth.
     pub max_depth: u32,
-}
-
-/// How often the explorer samples its frontier/depth gauges, in
-/// discovered states. Sampling (rather than reporting every state) keeps
-/// the gauges cheap on million-state runs; the final values are always
-/// reported exactly.
-const GAUGE_SAMPLE_EVERY: usize = 1024;
-
-/// The sequential engine's interning table: a bloom-screened,
-/// fingerprint-first index into an arena of flat state codes. Probing
-/// compares `Box<[u8]>` codes — never whole `Simulation`s — so a dedup
-/// hit costs one hash lookup plus one byte-string compare instead of
-/// cloning registers and slots; a definite bloom miss (the common case
-/// for a fresh state) skips even the hash lookup. Single-threaded, so
-/// the bloom's never-false-negative contract is unconditional here.
-struct InternTable {
-    /// low fingerprint half → candidate state ids (almost always one).
-    ids: HashMap<u64, Vec<u32>>,
-    /// Arena of state codes, indexed by state id.
-    codes: Vec<Box<[u8]>>,
-    bloom: Bloom,
-    /// Definite bloom misses: map lookups skipped.
-    bloom_neg: u64,
-}
-
-impl InternTable {
-    fn new(max_states: usize, first: Box<[u8]>) -> Self {
-        let mut table = InternTable {
-            ids: HashMap::new(),
-            codes: Vec::new(),
-            bloom: Bloom::new(max_states),
-            bloom_neg: 0,
-        };
-        table.insert(fp128(&first), first);
-        table
-    }
-
-    /// The id already holding `code` (fingerprinted as `fp`), if any.
-    fn find(&mut self, fp: Fp128, code: &[u8]) -> Option<usize> {
-        if !self.bloom.query(fp) {
-            self.bloom_neg += 1;
-            return None;
-        }
-        let candidates = self.ids.get(&fp.lo)?;
-        candidates
-            .iter()
-            .find(|&&id| &*self.codes[id as usize] == code)
-            .map(|&id| id as usize)
-    }
-
-    /// Interns `code` as the next state id.
-    fn insert(&mut self, fp: Fp128, code: Box<[u8]>) -> usize {
-        let id = self.codes.len();
-        self.bloom.insert(fp);
-        self.ids.entry(fp.lo).or_default().push(id as u32);
-        self.codes.push(code);
-        id
-    }
-}
-
-/// One computed successor of a state, before interning.
-struct Successor<M: Machine> {
-    proc: usize,
-    crash: bool,
-    sim: Simulation<M>,
-    event: Option<M::Event>,
-    /// The step was a register-free local step (event announcement or
-    /// halt) — membership in the state's ample set.
-    local: bool,
-}
-
-/// Expands `state` into `out` (cleared first): one successor per live
-/// process, plus one crash successor each under the crash model. With
-/// `por`, and when at least one process is poised at a register-free
-/// local step, only those processes' successors are kept (the ample
-/// set — see [`Explorer::por`] for why this is sound and why the ample
-/// set is *all* such processes, never fewer). Returns how many
-/// successors were pruned.
-fn expand_into<M: Machine + Eq>(
-    state: &Simulation<M>,
-    crashes: bool,
-    por: bool,
-    out: &mut Vec<Successor<M>>,
-) -> u64 {
-    out.clear();
-    for proc in 0..state.process_count() {
-        if state.is_halted(proc) {
-            continue;
-        }
-        let mut sim = state.clone();
-        let (outcome, event) = sim.step_quiet(proc).expect("slot is valid and not halted");
-        let local = matches!(outcome, StepOutcome::Event | StepOutcome::Halted);
-        out.push(Successor {
-            proc,
-            crash: false,
-            sim,
-            event,
-            local,
-        });
-        if crashes {
-            let mut sim = state.clone();
-            sim.crash_quiet(proc).expect("slot is valid");
-            out.push(Successor {
-                proc,
-                crash: true,
-                sim,
-                event: None,
-                local: false,
-            });
-        }
-    }
-    if por && out.iter().any(|s| s.local) {
-        let before = out.len();
-        out.retain(|s| s.local);
-        (before - out.len()) as u64
-    } else {
-        0
-    }
-}
-
-/// POR counters for one engine worker, reported only when the reduction
-/// actually fired so unreduced runs keep their probe output unchanged.
-#[derive(Default)]
-pub(crate) struct PorTally {
-    /// States at which the ample set was a proper subset.
-    pub(crate) ample: u64,
-    /// Successors pruned across those states.
-    pub(crate) pruned: u64,
-}
-
-impl PorTally {
-    pub(crate) fn absorb(&mut self, pruned: u64) {
-        if pruned > 0 {
-            self.ample += 1;
-            self.pruned += pruned;
-        }
-    }
-
-    pub(crate) fn report<P: Probe>(&self, probe: &P, key: u64) {
-        if self.ample > 0 {
-            probe.counter(Metric::PorAmple, key, self.ample);
-            probe.counter(Metric::PorPruned, key, self.pruned);
-        }
-    }
-}
-
-/// Reports the sequential intern table's bloom statistics (definite
-/// misses that skipped a map lookup), if any.
-fn report_bloom<P: Probe>(probe: &P, table: &InternTable) {
-    if table.bloom_neg > 0 {
-        probe.counter(Metric::BloomNeg, 0, table.bloom_neg);
-    }
-}
-
-/// The deterministic sequential engine: a depth-first loop with one
-/// global dedup map. State ids are canonical — two runs from the same
-/// initial simulation number the states identically.
-fn run_sequential<M, P>(
-    initial: Simulation<M>,
-    limits: &ExploreConfig,
-    probe: &P,
-    encoder: &StateEncoder<M>,
-    profiler: Option<&Profiler>,
-) -> Result<StateGraph<M>, ExploreError>
-where
-    M: Machine + Eq + Hash,
-    P: Probe,
-{
-    let mut initial = initial;
-    initial.clear_trace();
-
-    if P::ENABLED {
-        probe.span_open(Span::Explore, 0);
-    }
-    let mut timer = profiler.map(|p| p.timer(0));
-
-    let mut canon_nanos = 0u64;
-    let mut symmetry_hits = 0u64;
-    let mut canon_skipped = 0u64;
-    // When the encoder detected a trivial symmetry group it already
-    // short-circuits to the plain identity path, so timing it as
-    // canonicalization would charge symmetry reduction for work it no
-    // longer does; count the skipped encodes instead.
-    let track_canon =
-        P::ENABLED && encoder.mode() != SymmetryMode::Off && !encoder.skips_trivial_orbits();
-    let track_skipped = P::ENABLED && encoder.skips_trivial_orbits();
-    let mut encode = |sim: &Simulation<M>| {
-        if track_canon {
-            let start = Instant::now();
-            let (code, moved) = encoder.encode(sim);
-            canon_nanos += start.elapsed().as_nanos() as u64;
-            symmetry_hits += u64::from(moved);
-            code
-        } else {
-            canon_skipped += u64::from(track_skipped);
-            encoder.encode(sim).0
-        }
-    };
-
-    let mut table = InternTable::new(limits.max_states, encode(&initial));
-    let mut states = vec![initial];
-    let mut edges: Vec<Vec<Edge<M::Event>>> = Vec::new();
-    let mut parents = vec![None];
-
-    // Discovery depth per state and the running maximum; maintained only
-    // when the probe is enabled.
-    let mut depths: Vec<u32> = if P::ENABLED { vec![0] } else { Vec::new() };
-    let mut max_depth = 0u32;
-    let mut dedup_hits = 0u64;
-    let mut edge_total = 0u64;
-    let mut flushed = FlushedCounters::default();
-    let mut por = PorTally::default();
-    let mut successors: Vec<Successor<M>> = Vec::new();
-
-    let mut frontier = vec![0usize];
-    while let Some(id) = frontier.pop() {
-        if let Some(t) = timer.as_mut() {
-            t.switch(Phase::Step);
-        }
-        por.absorb(expand_into(
-            &states[id],
-            limits.crashes,
-            limits.por,
-            &mut successors,
-        ));
-        let mut out = Vec::with_capacity(successors.len());
-        for succ in successors.drain(..) {
-            if let Some(t) = timer.as_mut() {
-                t.switch(Phase::Canon);
-            }
-            let code = encode(&succ.sim);
-            if let Some(t) = timer.as_mut() {
-                t.switch(Phase::Dedup);
-            }
-            let fp = fp128(&code);
-            let target = match table.find(fp, &code) {
-                Some(t) => {
-                    if P::ENABLED {
-                        dedup_hits += 1;
-                    }
-                    t
-                }
-                None => {
-                    let t = states.len();
-                    if t >= limits.max_states {
-                        if P::ENABLED {
-                            report_explore(
-                                probe,
-                                t as u64,
-                                edge_total,
-                                dedup_hits,
-                                &frontier,
-                                max_depth,
-                                &mut flushed,
-                            );
-                            report_symmetry(probe, 0, symmetry_hits, canon_nanos, canon_skipped);
-                            report_bloom(probe, &table);
-                            por.report(probe, 0);
-                            probe.span_close(Span::Explore, 0, t as u64);
-                        }
-                        record_timer(profiler, timer);
-                        return Err(ExploreError::StateLimitExceeded {
-                            limit: limits.max_states,
-                        });
-                    }
-                    table.insert(fp, code);
-                    states.push(succ.sim);
-                    parents.push(Some((id, succ.proc, succ.crash)));
-                    frontier.push(t);
-                    if P::ENABLED {
-                        let depth = depths[id] + 1;
-                        depths.push(depth);
-                        max_depth = max_depth.max(depth);
-                        if t % GAUGE_SAMPLE_EVERY == 0 {
-                            probe.gauge(Metric::ExploreFrontier, 0, frontier.len() as u64);
-                            probe.gauge(Metric::ExploreDepth, 0, u64::from(max_depth));
-                            flushed.flush(probe, 0, states.len() as u64, edge_total, dedup_hits);
-                        }
-                    }
-                    t
-                }
-            };
-            if P::ENABLED {
-                edge_total += 1;
-            }
-            out.push(Edge {
-                proc: succ.proc,
-                target,
-                events: succ.event.into_iter().collect(),
-                crash: succ.crash,
-            });
-        }
-        // `edges` is indexed by discovery order; fill gaps lazily.
-        if edges.len() <= id {
-            edges.resize_with(states.len(), Vec::new);
-        }
-        edges[id] = out;
-    }
-    edges.resize_with(states.len(), Vec::new);
-
-    if P::ENABLED {
-        report_explore(
-            probe,
-            states.len() as u64,
-            edge_total,
-            dedup_hits,
-            &frontier,
-            max_depth,
-            &mut flushed,
-        );
-        report_symmetry(probe, 0, symmetry_hits, canon_nanos, canon_skipped);
-        report_bloom(probe, &table);
-        por.report(probe, 0);
-        probe.span_close(Span::Explore, 0, states.len() as u64);
-    }
-    record_timer(profiler, timer);
-
-    Ok(StateGraph {
-        states,
-        edges,
-        parents,
-    })
-}
-
-/// The counting sibling of [`run_sequential`]: same interning, same
-/// discovery order, but expanded configurations are dropped immediately —
-/// the frontier owns the only copy of each undiscovered state and no
-/// graph is materialised.
-fn run_sequential_stats<M, P>(
-    initial: Simulation<M>,
-    limits: &ExploreConfig,
-    probe: &P,
-    encoder: &StateEncoder<M>,
-    profiler: Option<&Profiler>,
-) -> Result<ExploreStats, ExploreError>
-where
-    M: Machine + Eq + Hash,
-    P: Probe,
-{
-    let mut initial = initial;
-    initial.clear_trace();
-
-    if P::ENABLED {
-        probe.span_open(Span::Explore, 0);
-    }
-    let mut timer = profiler.map(|p| p.timer(0));
-
-    // Same symmetry instrumentation as the graph path: canonical encodes
-    // are timed, trivial-orbit fast-path encodes are counted instead.
-    let mut canon_nanos = 0u64;
-    let mut symmetry_hits = 0u64;
-    let mut canon_skipped = 0u64;
-    let track_canon =
-        P::ENABLED && encoder.mode() != SymmetryMode::Off && !encoder.skips_trivial_orbits();
-    let track_skipped = P::ENABLED && encoder.skips_trivial_orbits();
-    let mut encode = |sim: &Simulation<M>| {
-        if track_canon {
-            let start = Instant::now();
-            let (code, moved) = encoder.encode(sim);
-            canon_nanos += start.elapsed().as_nanos() as u64;
-            symmetry_hits += u64::from(moved);
-            code
-        } else {
-            canon_skipped += u64::from(track_skipped);
-            encoder.encode(sim).0
-        }
-    };
-
-    let mut table = InternTable::new(limits.max_states, encode(&initial));
-    let mut stats = ExploreStats {
-        states: 1,
-        ..ExploreStats::default()
-    };
-    let mut flushed = FlushedCounters::default();
-    let mut por = PorTally::default();
-    let mut successors: Vec<Successor<M>> = Vec::new();
-
-    let mut frontier: Vec<(Simulation<M>, u32)> = vec![(initial, 0)];
-    while let Some((state, depth)) = frontier.pop() {
-        if let Some(t) = timer.as_mut() {
-            t.switch(Phase::Step);
-        }
-        por.absorb(expand_into(
-            &state,
-            limits.crashes,
-            limits.por,
-            &mut successors,
-        ));
-        drop(state);
-        for succ in successors.drain(..) {
-            if let Some(t) = timer.as_mut() {
-                t.switch(Phase::Canon);
-            }
-            let code = encode(&succ.sim);
-            if let Some(t) = timer.as_mut() {
-                t.switch(Phase::Dedup);
-            }
-            let fp = fp128(&code);
-            stats.edges += 1;
-            if table.find(fp, &code).is_some() {
-                stats.dedup += 1;
-            } else {
-                if stats.states >= limits.max_states as u64 {
-                    if P::ENABLED {
-                        flushed.finish(probe, 0, stats.states, stats.edges, stats.dedup);
-                        report_symmetry(probe, 0, symmetry_hits, canon_nanos, canon_skipped);
-                        por.report(probe, 0);
-                        report_bloom(probe, &table);
-                        probe.span_close(Span::Explore, 0, stats.states);
-                    }
-                    record_timer(profiler, timer);
-                    return Err(ExploreError::StateLimitExceeded {
-                        limit: limits.max_states,
-                    });
-                }
-                table.insert(fp, code);
-                stats.states += 1;
-                stats.max_depth = stats.max_depth.max(depth + 1);
-                frontier.push((succ.sim, depth + 1));
-                if P::ENABLED && stats.states.is_multiple_of(GAUGE_SAMPLE_EVERY as u64) {
-                    probe.gauge(Metric::ExploreFrontier, 0, frontier.len() as u64);
-                    probe.gauge(Metric::ExploreDepth, 0, u64::from(stats.max_depth));
-                    flushed.flush(probe, 0, stats.states, stats.edges, stats.dedup);
-                }
-            }
-        }
-    }
-
-    if P::ENABLED {
-        flushed.finish(probe, 0, stats.states, stats.edges, stats.dedup);
-        probe.gauge(Metric::ExploreFrontier, 0, 0);
-        probe.gauge(Metric::ExploreDepth, 0, u64::from(stats.max_depth));
-        report_symmetry(probe, 0, symmetry_hits, canon_nanos, canon_skipped);
-        por.report(probe, 0);
-        report_bloom(probe, &table);
-        probe.span_close(Span::Explore, 0, stats.states);
-    }
-    record_timer(profiler, timer);
-    Ok(stats)
-}
-
-/// Hands a finished engine worker's phase timer to the profiler, if both
-/// are attached.
-pub(crate) fn record_timer(profiler: Option<&Profiler>, timer: Option<anonreg_obs::PhaseTimer>) {
-    if let (Some(p), Some(t)) = (profiler, timer) {
-        p.record(t.finish());
-    }
-}
-
-/// Running totals already emitted as incremental `explore_*` counter
-/// flushes. The engines flush on the gauge sampling cadence so a live
-/// stream sees progress mid-run; the final report emits only the
-/// remainder, keeping every counter total exact.
-#[derive(Default)]
-pub(crate) struct FlushedCounters {
-    states: u64,
-    edges: u64,
-    dedup: u64,
-}
-
-impl FlushedCounters {
-    /// Emits the not-yet-flushed part of each running total.
-    fn flush<P: Probe>(&mut self, probe: &P, dedup_key: u64, states: u64, edges: u64, dedup: u64) {
-        if states > self.states {
-            probe.counter(Metric::ExploreStates, 0, states - self.states);
-            self.states = states;
-        }
-        if edges > self.edges {
-            probe.counter(Metric::ExploreEdges, 0, edges - self.edges);
-            self.edges = edges;
-        }
-        if dedup > self.dedup {
-            probe.counter(Metric::ExploreDedup, dedup_key, dedup - self.dedup);
-            self.dedup = dedup;
-        }
-    }
-
-    /// Final emission: like [`FlushedCounters::flush`] but unconditional,
-    /// so each counter has an entry even when its total is zero.
-    pub(crate) fn finish<P: Probe>(
-        &mut self,
-        probe: &P,
-        dedup_key: u64,
-        states: u64,
-        edges: u64,
-        dedup: u64,
-    ) {
-        probe.counter(Metric::ExploreStates, 0, states.saturating_sub(self.states));
-        probe.counter(Metric::ExploreEdges, 0, edges.saturating_sub(self.edges));
-        probe.counter(
-            Metric::ExploreDedup,
-            dedup_key,
-            dedup.saturating_sub(self.dedup),
-        );
-        self.states = states.max(self.states);
-        self.edges = edges.max(self.edges);
-        self.dedup = dedup.max(self.dedup);
-    }
-}
-
-/// Final (exact) gauge/counter emission for one sequential exploration:
-/// flushes the counter remainders and reports the exact final gauges.
-fn report_explore<P: Probe>(
-    probe: &P,
-    states: u64,
-    edges: u64,
-    dedup: u64,
-    frontier: &[usize],
-    max_depth: u32,
-    flushed: &mut FlushedCounters,
-) {
-    flushed.finish(probe, 0, states, edges, dedup);
-    probe.gauge(Metric::ExploreFrontier, 0, frontier.len() as u64);
-    probe.gauge(Metric::ExploreDepth, 0, u64::from(max_depth));
-}
-
-/// Symmetry-reduction counters for one engine (`key` is 0 for the
-/// sequential engine, the worker index for the parallel one). Emitted
-/// only when canonicalization actually did something, so plain
-/// explorations keep their probe output unchanged. `skipped` counts the
-/// encodes that took the trivial-orbit fast path instead of a canonical
-/// search — proof in the metrics that the short-circuit fired.
-pub(crate) fn report_symmetry<P: Probe>(probe: &P, key: u64, hits: u64, nanos: u64, skipped: u64) {
-    if hits > 0 {
-        probe.counter(Metric::SymmetryHits, key, hits);
-    }
-    if nanos > 0 {
-        probe.counter(Metric::CanonTime, key, nanos);
-    }
-    if skipped > 0 {
-        probe.counter(Metric::CanonSkipped, key, skipped);
-    }
 }
 
 impl<M: Machine> StateGraph<M> {
@@ -1589,6 +1041,8 @@ fn tarjan<E>(n: usize, edges: &[Vec<Edge<E>>]) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use anonreg_model::{Pid, Step, View};
+    use anonreg_obs::Span;
+    use std::collections::HashMap;
 
     /// Two-phase toy: writes its pid, reads, halts. Tiny state space.
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -2256,7 +1710,8 @@ mod tests {
 
     /// A worker that panics mid-expansion must not hang the run: the
     /// drop guard releases its pending slot and trips the abort flag, and
-    /// the main thread reports the panic as an error verdict.
+    /// the calling thread reports the panic as an error verdict, at any
+    /// worker count.
     #[test]
     fn worker_panic_is_reported_not_hung() {
         let build = || {
@@ -2278,7 +1733,7 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        for threads in [2, 4] {
+        for threads in [1, 2, 4] {
             let err = Explorer::new(build())
                 .parallelism(threads)
                 .run()
@@ -2684,5 +2139,106 @@ mod tests {
         let snap = probe.into_snapshot();
         assert_eq!(snap.counter_total(Metric::CacheHit), 1);
         assert!(snap.counter_total(Metric::CacheReplayTime) > 0);
+    }
+
+    /// Folds a graph's numbering — every state's configuration, discovery
+    /// parent and outgoing edges, in id order — into one FNV-1a word.
+    fn numbering_digest<M: Machine + Eq + Hash>(graph: &StateGraph<M>) -> u64 {
+        use std::hash::Hasher;
+        let mut h = anonreg_model::fingerprint::Fnv64::new();
+        for (id, state) in graph.states() {
+            h.write_u64(state.fingerprint());
+            h.write(format!("{:?}", graph.parents[id]).as_bytes());
+            for e in graph.edges(id) {
+                h.write(format!("{}:{}:{}", e.proc, e.target, e.crash).as_bytes());
+            }
+        }
+        h.finish()
+    }
+
+    /// One worker numbers states in the canonical depth-first order the
+    /// goldens and recorded `schedule_to` replays depend on.
+    #[test]
+    fn one_worker_numbering_is_pinned() {
+        for (crashes, por, expected) in [
+            (false, false, 0x8414_fccb_c9bf_997f),
+            (true, false, 0x4179_f29b_db85_ab26),
+            (false, true, 0xd81d_8ea8_a2e6_0823),
+        ] {
+            let graph = Explorer::new(two_toys())
+                .crashes(crashes)
+                .por(por)
+                .run()
+                .unwrap();
+            assert_eq!(
+                numbering_digest(&graph),
+                expected,
+                "crashes={crashes} por={por}"
+            );
+        }
+    }
+
+    /// A one-worker run spills too, and spilling changes nothing but
+    /// where the codes live.
+    #[test]
+    fn one_worker_spill_spills() {
+        use anonreg_obs::MemProbe;
+        let probe = MemProbe::new();
+        let baseline = Explorer::new(two_toys()).run().unwrap();
+        let spilled = Explorer::new(two_toys())
+            .spill(true)
+            .probe(&probe)
+            .run()
+            .unwrap();
+        assert_isomorphic(&spilled, &baseline);
+        assert!(probe.into_snapshot().counter_total(Metric::SpillBytes) > 0);
+    }
+
+    /// The dedup table is sized to the run, not to its cap: a 440-state
+    /// space explored under a cap of 10⁸ ends with at most four slots per
+    /// state, on one worker and on two.
+    #[test]
+    fn table_is_sized_to_the_run_not_the_cap() {
+        let three_toys = || {
+            Simulation::builder()
+                .process(
+                    Toy {
+                        pid: pid(1),
+                        phase: 0,
+                    },
+                    View::identity(1),
+                )
+                .process(
+                    Toy {
+                        pid: pid(2),
+                        phase: 0,
+                    },
+                    View::identity(1),
+                )
+                .process(
+                    Toy {
+                        pid: pid(3),
+                        phase: 0,
+                    },
+                    View::identity(1),
+                )
+                .build()
+                .unwrap()
+        };
+        for threads in [1, 2] {
+            let stats = Explorer::new(three_toys())
+                .crashes(true)
+                .max_states(100_000_000)
+                .parallelism(threads)
+                .run_stats()
+                .unwrap();
+            assert_eq!(stats.states, 440);
+            let slots = par::TABLE_SLOTS.get() as u64;
+            assert!(
+                slots <= 4 * stats.states,
+                "{threads} workers: {slots} slots for {} states",
+                stats.states
+            );
+        }
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! * [`write_graph`] serializes a [`StateGraph`] into the certificate
 //!   format (canonical-code sort gives every state a stable index, so
-//!   certificates from the race-ordered parallel engine are
-//!   byte-comparable to sequential ones).
+//!   certificates from race-ordered multi-worker runs are
+//!   byte-comparable to one-worker ones).
 //! * [`run_cached`] is the warm/cold driver: replay the stored
 //!   certificate when a valid one exists, otherwise explore cold,
 //!   certify, and replay the fresh certificate once as an emission

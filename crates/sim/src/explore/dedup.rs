@@ -1,24 +1,21 @@
-//! Lock-free deduplication substrate for the parallel explorer.
+//! Deduplication substrate of the explorer.
 //!
-//! Three cooperating pieces, replacing the 64-way mutex-striped shard map:
+//! Two cooperating pieces:
 //!
-//! * [`FpTable`] — a fixed-capacity open-addressing fingerprint table.
-//!   Each 16-byte slot is a pair of atomics: `fp` holds the low half of
-//!   the state's 128-bit FNV-1a fingerprint (the probe key) and `meta`
-//!   packs `(id + 1) << 32 | hi32` once the entry is published. Insertion
-//!   claims a slot with a single compare-and-swap and publishes the id
-//!   with a release store, exactly the Arc-style publication idiom: the
-//!   writer releases after the payload (canonical code, spill location,
-//!   LRU entry) is in place, and readers acquire through `meta` before
-//!   touching any of it.
-//! * [`Bloom`] — a blocked atomic bloom filter fed before any slot is
-//!   claimed. Because bits are set *before* the claim CAS, a fingerprint
-//!   that was ever interned always queries positive (never a false
-//!   negative); the sequential engine uses a definite miss to skip its
-//!   dedup-map lookup entirely, while the parallel engine treats the
-//!   answer as a statistic only (a concurrent inserter's bits may land
-//!   after our query but before our probe, so a "miss" must not skip
-//!   slot verification there — see ORD-DEDUP-BLOOM-004).
+//! * [`FpTable`] — a lock-free open-addressing fingerprint table that
+//!   starts at [`MIN_SLOTS`] and doubles whenever half its slots are
+//!   claimed, so its memory follows the states a run interns, not the
+//!   run's `max_states` cap. Each 16-byte slot is a pair of atomics: `fp`
+//!   holds the low half of the state's 128-bit FNV-1a fingerprint (the
+//!   probe key) and `meta` packs `(id + 1) << 32 | hi32` once the entry is
+//!   published. Insertion claims a slot with a single compare-and-swap and
+//!   publishes the id with a release store, exactly the Arc-style
+//!   publication idiom: the writer releases after the payload (canonical
+//!   code or spill location) is in place, and readers acquire through
+//!   `meta` before touching any of it. Beside the slots the table keeps
+//!   one [`CodeStore::Entry`] per id — the canonical code itself
+//!   ([`InMemory`]) or where the spill files hold it ([`SpillStore`]) —
+//!   and grows those entries with the slots.
 //! * [`SpillStore`] — an append-only on-disk code store behind a sharded
 //!   LRU in-memory tier, so canonical codes no longer pin the run's state
 //!   count to RAM. Codes append to per-worker unlinked temp files (the
@@ -27,6 +24,17 @@
 //!   touch. A candidate whose code is neither cached nor yet flushed is
 //!   matched on its 128-bit fingerprint alone and counted as
 //!   `dedup_unverified` (collision probability < 2⁻⁷⁰ at 10⁸ states).
+//!
+//! # Growth
+//!
+//! Probers hold a read guard of the table's one `RwLock` across a whole
+//! [`Batch`] of interns. Each generation of the table admits claims for
+//! half its slots; a prober that finds the budget spent drops its guard,
+//! takes the write lock and doubles the table. Every other prober is then
+//! outside a batch, and a claimant publishes before it leaves its batch,
+//! so no slot is claimed-but-unpublished: the doubling rehashes the
+//! stored `(fp, meta)` pairs alone, reads no code, and grows the id-indexed
+//! entries to the new budget. Ids never change.
 //!
 //! # Memory-ordering certificates
 //!
@@ -44,21 +52,22 @@
 //!   publish (the limit path publishes a sentinel), so the spin is
 //!   bounded by the claim-to-publish window unless the run is tearing
 //!   down.
-//! * `ORD-DEDUP-BLOOM-004` — bloom words are Relaxed: under concurrency
-//!   the filter is advisory (bits may trail a visible slot claim), so no
-//!   correctness decision ever rests on a bloom miss alone.
 //! * `ORD-DEDUP-FLUSH-006` — the spill watermark is stored Release after
 //!   `write_all_at` returns and loaded Acquire before `read_at`, so a
 //!   covered range is durably readable.
+//! * `ORD-DEDUP-GROW-008` — the claim budget counter is Relaxed: it only
+//!   caps how many slots a generation hands out; the doubling itself
+//!   synchronises through the `RwLock`.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock, RwLock, RwLockReadGuard};
 
 use anonreg_model::fingerprint::Fp128;
+use anonreg_obs::Metric;
 
 /// Substitute probe key for the (vanishingly rare) fingerprint whose low
 /// half is zero — zero marks an empty slot.
@@ -68,12 +77,13 @@ const ZERO_KEY_SUBSTITUTE: u64 = 0x9e37_79b9_7f4a_7c15;
 /// concurrent probers of the same slot stop spinning and abort too.
 const LIMIT_META: u64 = u64::MAX;
 
-/// Hard ceiling on table slots (2²⁸ × 16 B = 4 GiB). `max_states` beyond
-/// half this many slots is capped by the table, keeping probe chains
-/// short at ≤ 50% load.
+/// Hard ceiling on table slots (2²⁸ × 16 B = 4 GiB). A run interns at
+/// most half this many states, keeping probe chains short at ≤ 50% load.
 const MAX_SLOTS: usize = 1 << 28;
+/// Slots every table starts with (16 KiB).
 const MIN_SLOTS: usize = 1 << 10;
 
+#[derive(Default)]
 struct Slot {
     /// Low fingerprint half; 0 = empty. Written once by the claim CAS.
     fp: AtomicU64,
@@ -82,7 +92,7 @@ struct Slot {
     meta: AtomicU64,
 }
 
-/// Outcome of a [`FpTable::intern`] probe.
+/// Outcome of a [`Batch::intern`] probe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Probe {
     /// The code was new; this thread claimed the returned id.
@@ -95,45 +105,92 @@ pub(crate) enum Probe {
     Aborted,
 }
 
-/// Fixed-capacity lock-free open-addressing fingerprint table.
-///
-/// Capacity is sized from the explorer's `max_states` bound (which is
-/// always finite — the default config caps at 10⁶) to twice the state
-/// budget, rounded up to a power of two, so load never exceeds 50% and
-/// linear probe chains stay short. Slots are never unclaimed: `fp` and a
-/// published `meta` are immutable once written, which is what makes the
-/// wait-free read path sound.
-pub(crate) struct FpTable {
+/// Where interned canonical codes live. The table keeps one `Entry` per
+/// id, has the store fill it when the id is claimed, and hands it back
+/// when a probe needs the code.
+pub(crate) trait CodeStore: Sync {
+    /// Per-id storage, grown with the table.
+    type Entry: Default + Send + Sync;
+
+    /// Whether state `id`, stored in `entry`, has canonical code `code`.
+    fn is_same(&self, entry: &Self::Entry, id: u32, code: &[u8]) -> bool;
+
+    /// Stores `code` for freshly claimed `id` on behalf of `worker`. Runs
+    /// before the id is published (ORD-DEDUP-META-002 makes the store
+    /// visible to every prober that finds the id).
+    fn publish(&self, entry: &Self::Entry, worker: usize, id: u32, code: Box<[u8]>);
+
+    /// Emits the store's own counters at the end of a run.
+    fn report<P: anonreg_obs::Probe>(&self, _probe: &P) {}
+}
+
+/// Canonical codes kept in memory, one write-once cell per id.
+pub(crate) struct InMemory;
+
+impl CodeStore for InMemory {
+    type Entry = OnceLock<Box<[u8]>>;
+
+    fn is_same(&self, entry: &Self::Entry, _id: u32, code: &[u8]) -> bool {
+        entry.get().is_some_and(|c| **c == *code)
+    }
+
+    fn publish(&self, entry: &Self::Entry, _worker: usize, _id: u32, code: Box<[u8]>) {
+        let stored = entry.set(code);
+        debug_assert!(stored.is_ok(), "each id is published exactly once");
+    }
+}
+
+/// One generation of the table: its slots and the id-indexed entries.
+struct Shared<E> {
     slots: Box<[Slot]>,
-    mask: usize,
+    /// `slots.len() / 2` entries — the generation's claim budget, so every
+    /// id it hands out has an entry.
+    entries: Vec<E>,
+}
+
+/// Lock-free open-addressing fingerprint table, grown by doubling.
+///
+/// Slots are never unclaimed: `fp` and a published `meta` are immutable
+/// within a generation, which is what makes the wait-free read path
+/// sound; a doubling moves them only while it holds the write lock.
+pub(crate) struct FpTable<S: CodeStore> {
+    shared: RwLock<Shared<S::Entry>>,
+    store: S,
+    /// Slots claimed or being claimed — at most the generation's budget.
+    claims: AtomicUsize,
     next_id: AtomicUsize,
-    /// Effective state budget: `min(max_states, slots / 2)`.
+    /// Effective state budget: `min(max_states, MAX_SLOTS / 2)`.
     limit: usize,
 }
 
-impl FpTable {
-    pub(crate) fn new(max_states: usize) -> Self {
-        let want = max_states.saturating_mul(2).max(1);
-        let slots_len = want
-            .checked_next_power_of_two()
-            .unwrap_or(MAX_SLOTS)
-            .clamp(MIN_SLOTS, MAX_SLOTS);
-        let mut slots = Vec::with_capacity(slots_len);
-        slots.resize_with(slots_len, || Slot {
-            fp: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-        });
+/// What one pass over the slots found.
+enum Found {
+    Done(Probe),
+    /// The slot at this index was claimed for this id, which still needs
+    /// publishing.
+    Claimed(usize, u32),
+    /// The generation's budget is spent; double the table of this many
+    /// slots and probe again.
+    Full(usize),
+}
+
+impl<S: CodeStore> FpTable<S> {
+    pub(crate) fn new(max_states: usize, store: S) -> Self {
         FpTable {
-            slots: slots.into_boxed_slice(),
-            mask: slots_len - 1,
+            shared: RwLock::new(Shared {
+                slots: (0..MIN_SLOTS).map(|_| Slot::default()).collect(),
+                entries: (0..MIN_SLOTS / 2).map(|_| S::Entry::default()).collect(),
+            }),
+            store,
+            claims: AtomicUsize::new(0),
             next_id: AtomicUsize::new(0),
-            limit: max_states.min(slots_len / 2),
+            limit: max_states.min(MAX_SLOTS / 2),
         }
     }
 
-    /// The effective state budget (min of `max_states` and table capacity).
-    pub(crate) fn limit(&self) -> usize {
-        self.limit
+    /// The code store behind the table.
+    pub(crate) fn store(&self) -> &S {
+        &self.store
     }
 
     /// States interned so far (clamped to the budget).
@@ -141,37 +198,46 @@ impl FpTable {
         self.next_id.load(Ordering::Relaxed).min(self.limit)
     }
 
-    /// Finds or inserts the state fingerprinted by `fp`.
-    ///
-    /// `is_same(id)` decides whether candidate `id` (same 96 fingerprint
-    /// bits) really is this state — authoritative code comparison, or a
-    /// fingerprint-trusting fallback in spill mode. `publish(id)` runs
-    /// after id allocation and **before** the entry becomes visible; it
-    /// must put the canonical code wherever `is_same` will look
-    /// (ORD-DEDUP-META-002 makes that publication visible to readers).
-    /// `should_abort()` bounds the publication-wait spin
-    /// (ORD-DEDUP-SPIN-003).
-    pub(crate) fn intern(
+    /// The current number of slots.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.read().slots.len()
+    }
+
+    /// Opens a batch of interns: a read guard held until the batch drops.
+    pub(crate) fn batch(&self) -> Batch<'_, S> {
+        Batch {
+            table: self,
+            guard: Some(self.read()),
+        }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Shared<S::Entry>> {
+        self.shared.read().expect("dedup table lock")
+    }
+
+    fn find(
         &self,
+        shared: &Shared<S::Entry>,
         fp: Fp128,
-        mut is_same: impl FnMut(u32) -> bool,
-        publish: impl FnOnce(u32),
-        should_abort: impl Fn() -> bool,
-    ) -> Probe {
+        code: &[u8],
+        should_abort: &impl Fn() -> bool,
+    ) -> Found {
         let key = if fp.lo == 0 {
             ZERO_KEY_SUBSTITUTE
         } else {
             fp.lo
         };
         let hi32 = fp.hi as u32;
-        let mut idx = (key as usize) & self.mask;
+        let mask = shared.slots.len() - 1;
+        let mut idx = (key as usize) & mask;
         loop {
-            let slot = &self.slots[idx];
+            let slot = &shared.slots[idx];
             let cur = slot.fp.load(Ordering::Relaxed);
             if cur == key {
                 // Candidate: spin out the claim-to-publish window, then
-                // verify the high fingerprint half and (via `is_same`)
-                // the code itself. ORD-DEDUP-SPIN-003 / ORD-DEDUP-META-002.
+                // verify the high fingerprint half and the code itself.
+                // ORD-DEDUP-SPIN-003 / ORD-DEDUP-META-002.
                 let mut spins = 0u32;
                 let meta = loop {
                     let meta = slot.meta.load(Ordering::Acquire);
@@ -180,24 +246,34 @@ impl FpTable {
                     }
                     spins = spins.wrapping_add(1);
                     if spins & 1023 == 0 && should_abort() {
-                        return Probe::Aborted;
+                        return Found::Done(Probe::Aborted);
                     }
                     std::hint::spin_loop();
                 };
                 if meta == LIMIT_META {
-                    return Probe::Limit;
+                    return Found::Done(Probe::Limit);
                 }
                 if meta as u32 == hi32 {
                     let id = (meta >> 32) as u32 - 1;
-                    if is_same(id) {
-                        return Probe::Known(id);
+                    if self.store.is_same(&shared.entries[id as usize], id, code) {
+                        return Found::Done(Probe::Known(id));
                     }
                 }
                 // Different state sharing 64 (or even 96) fingerprint
                 // bits: keep probing — it lives (or will live) in a
                 // later slot of the same chain.
-                idx = (idx + 1) & self.mask;
+                idx = (idx + 1) & mask;
             } else if cur == 0 {
+                // ORD-DEDUP-GROW-008: Relaxed — the budget counter only
+                // bounds claims; the doubling synchronises through the lock.
+                if self.claims.fetch_add(1, Ordering::Relaxed) >= shared.entries.len() {
+                    self.claims.fetch_sub(1, Ordering::Relaxed);
+                    return if shared.slots.len() < MAX_SLOTS {
+                        Found::Full(shared.slots.len())
+                    } else {
+                        Found::Done(Probe::Limit)
+                    };
+                }
                 // ORD-DEDUP-CLAIM-001: Relaxed claim; payload publication
                 // is meta's job. On failure re-examine the same slot,
                 // which is now permanently nonzero.
@@ -211,71 +287,89 @@ impl FpTable {
                         // Claimants always publish, even on the limit
                         // path, so concurrent spinners can't hang.
                         slot.meta.store(LIMIT_META, Ordering::Release);
-                        return Probe::Limit;
+                        return Found::Done(Probe::Limit);
                     }
-                    let id = id as u32;
-                    publish(id);
-                    let meta = (u64::from(id) + 1) << 32 | u64::from(hi32);
-                    // ORD-DEDUP-META-002: Release-publish after payload.
-                    slot.meta.store(meta, Ordering::Release);
-                    return Probe::Fresh(id);
+                    return Found::Claimed(idx, id as u32);
                 }
+                // ORD-DEDUP-GROW-008.
+                self.claims.fetch_sub(1, Ordering::Relaxed);
             } else {
-                idx = (idx + 1) & self.mask;
+                idx = (idx + 1) & mask;
             }
         }
     }
-}
 
-/// Blocked atomic bloom filter over 128-bit fingerprints.
-///
-/// Sized at ~8 bits per expected state with two probes (one per
-/// fingerprint half), for a false-positive rate around 5% at full load.
-/// Inserts happen **before** the table claim, so anything ever interned
-/// queries positive — the never-false-negative half of the contract is
-/// unconditional; the false-positive rate is only a performance knob.
-pub(crate) struct Bloom {
-    words: Box<[AtomicU64]>,
-    bit_mask: u64,
-}
-
-impl Bloom {
-    pub(crate) fn new(expected_states: usize) -> Self {
-        let bits = expected_states
-            .saturating_mul(8)
-            .checked_next_power_of_two()
-            .unwrap_or(1 << 33)
-            .clamp(1 << 12, 1 << 33);
-        let words = (0..bits / 64).map(|_| AtomicU64::new(0)).collect();
-        Bloom {
-            words,
-            bit_mask: bits as u64 - 1,
+    /// Doubles a table of `seen` slots, unless a sibling prober already
+    /// did. Holds the write lock, so every slot is empty or published and
+    /// the stored `(fp, meta)` pairs are all the rehash needs.
+    fn grow(&self, seen: usize) {
+        let mut guard = self.shared.write().expect("dedup table lock");
+        let shared = &mut *guard;
+        if shared.slots.len() != seen {
+            return;
         }
+        let mut slots: Box<[Slot]> = (0..seen * 2).map(|_| Slot::default()).collect();
+        let mask = slots.len() - 1;
+        for old in shared.slots.iter_mut() {
+            let key = *old.fp.get_mut();
+            if key == 0 {
+                continue;
+            }
+            let mut idx = (key as usize) & mask;
+            while *slots[idx].fp.get_mut() != 0 {
+                idx = (idx + 1) & mask;
+            }
+            slots[idx] = std::mem::take(old);
+        }
+        shared.slots = slots;
+        shared.entries.resize_with(seen, S::Entry::default);
     }
+}
 
-    fn bit_positions(&self, fp: Fp128) -> (u64, u64) {
-        // Two probes drawn from distinct fingerprint halves (mixed so a
-        // shared low half doesn't collapse both probes).
-        (
-            fp.hi & self.bit_mask,
-            (fp.hi >> 32 ^ fp.lo.rotate_left(17)) & self.bit_mask,
-        )
-    }
+/// A prober's hold on an [`FpTable`] across a batch of interns. The
+/// batch keeps the table's read guard between probes, giving it up only
+/// to double the table.
+pub(crate) struct Batch<'a, S: CodeStore> {
+    table: &'a FpTable<S>,
+    guard: Option<RwLockReadGuard<'a, Shared<S::Entry>>>,
+}
 
-    /// Marks `fp` present. ORD-DEDUP-BLOOM-004: Relaxed — the filter is
-    /// advisory under concurrency.
-    pub(crate) fn insert(&self, fp: Fp128) {
-        let (a, b) = self.bit_positions(fp);
-        self.words[(a >> 6) as usize].fetch_or(1 << (a & 63), Ordering::Relaxed);
-        self.words[(b >> 6) as usize].fetch_or(1 << (b & 63), Ordering::Relaxed);
-    }
-
-    /// `true` if `fp` may have been inserted; `false` only if it
-    /// definitely was not (by any insert that happens-before this query).
-    pub(crate) fn query(&self, fp: Fp128) -> bool {
-        let (a, b) = self.bit_positions(fp);
-        self.words[(a >> 6) as usize].load(Ordering::Relaxed) & (1 << (a & 63)) != 0
-            && self.words[(b >> 6) as usize].load(Ordering::Relaxed) & (1 << (b & 63)) != 0
+impl<S: CodeStore> Batch<'_, S> {
+    /// Finds or inserts the state whose canonical code `code` is
+    /// fingerprinted as `fp`, on behalf of `worker`.
+    ///
+    /// A candidate sharing 96 fingerprint bits is confirmed through
+    /// [`CodeStore::is_same`]; a fresh code is handed to
+    /// [`CodeStore::publish`] before its id becomes visible.
+    /// `should_abort()` bounds the publication-wait spin
+    /// (ORD-DEDUP-SPIN-003).
+    pub(crate) fn intern(
+        &mut self,
+        worker: usize,
+        fp: Fp128,
+        code: Box<[u8]>,
+        should_abort: impl Fn() -> bool,
+    ) -> Probe {
+        loop {
+            let shared = self.guard.as_ref().expect("a batch holds its guard");
+            match self.table.find(shared, fp, &code, &should_abort) {
+                Found::Done(probe) => return probe,
+                Found::Claimed(idx, id) => {
+                    self.table
+                        .store
+                        .publish(&shared.entries[id as usize], worker, id, code);
+                    let meta = (u64::from(id) + 1) << 32 | u64::from(fp.hi as u32);
+                    // ORD-DEDUP-META-002: Release-publish after payload.
+                    shared.slots[idx].meta.store(meta, Ordering::Release);
+                    return Probe::Fresh(id);
+                }
+                Found::Full(seen) => {
+                    self.guard = None;
+                    self.table.grow(seen);
+                    self.guard = Some(self.table.read());
+                }
+            }
+        }
     }
 }
 
@@ -318,10 +412,10 @@ struct LruShard {
 /// Running counters a [`SpillStore`] accumulates; drained into the probe
 /// at the end of a run.
 #[derive(Default)]
-pub(crate) struct SpillCounters {
-    pub(crate) bytes_spilled: AtomicU64,
-    pub(crate) disk_reads: AtomicU64,
-    pub(crate) unverified: AtomicU64,
+struct SpillCounters {
+    bytes_spilled: AtomicU64,
+    disk_reads: AtomicU64,
+    unverified: AtomicU64,
 }
 
 /// Append-only on-disk canonical-code store with a sharded LRU front.
@@ -329,25 +423,20 @@ pub(crate) struct SpillCounters {
 /// Each worker appends codes it interns to its own unlinked temp file
 /// (deleted from the namespace at creation; the kernel reclaims the
 /// blocks when the run drops the handle, even on panic). The packed
-/// location of every code is published through `locs[id]` before the
-/// dedup table's `meta` release, so any reader that found the id can
-/// decode where its code lives.
+/// location of every code is published through its id's table entry
+/// before the dedup table's `meta` release, so any reader that found the
+/// id can decode where its code lives.
 pub(crate) struct SpillStore {
     files: Vec<SpillFile>,
-    locs: Box<[AtomicU64]>,
     lru: Vec<Mutex<LruShard>>,
     lru_budget_per_shard: usize,
-    pub(crate) counters: SpillCounters,
+    counters: SpillCounters,
 }
 
 impl SpillStore {
-    /// `workers` capped at 32 by the loc packing; the parallel engine
-    /// clamps its thread count accordingly when spilling.
-    pub(crate) fn new(
-        workers: usize,
-        max_states: usize,
-        lru_budget_bytes: usize,
-    ) -> io::Result<Self> {
+    /// `workers` capped at 32 by the loc packing; the engine clamps its
+    /// thread count accordingly when spilling.
+    pub(crate) fn new(workers: usize, lru_budget_bytes: usize) -> io::Result<Self> {
         assert!(workers <= 32, "spill supports at most 32 workers");
         static STORE_SEQ: AtomicUsize = AtomicUsize::new(0);
         let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -371,13 +460,11 @@ impl SpillStore {
                 }),
             });
         }
-        let locs = (0..max_states).map(|_| AtomicU64::new(0)).collect();
         let lru = (0..LRU_SHARDS)
             .map(|_| Mutex::new(LruShard::default()))
             .collect();
         Ok(SpillStore {
             files,
-            locs,
             lru,
             lru_budget_per_shard: (lru_budget_bytes / LRU_SHARDS).max(1 << 16),
             counters: SpillCounters::default(),
@@ -406,35 +493,6 @@ impl SpillStore {
         }
     }
 
-    /// Appends `code` for freshly claimed `id` on behalf of `worker`.
-    /// Must be called inside the table's `publish` callback so the
-    /// location store is ordered before the meta release.
-    pub(crate) fn publish(&self, worker: usize, id: u32, code: &[u8]) {
-        debug_assert!(
-            (code.len() as u64) <= LOC_LEN_MASK,
-            "code too large to spill"
-        );
-        let offset;
-        {
-            let mut w = self.files[worker].writer.lock().unwrap();
-            offset = w.base + w.buf.len() as u64;
-            w.buf.extend_from_slice(code);
-            if w.buf.len() >= FLUSH_CHUNK {
-                self.flush_locked(worker, &mut w);
-            }
-        }
-        self.counters
-            .bytes_spilled
-            .fetch_add(code.len() as u64, Ordering::Relaxed);
-        self.cache(id, code.into());
-        let loc = LOC_PUBLISHED
-            | offset << LOC_OFFSET_SHIFT
-            | (code.len() as u64) << LOC_LEN_SHIFT
-            | worker as u64;
-        // Ordered before the table's meta Release by ORD-DEDUP-META-002.
-        self.locs[id as usize].store(loc, Ordering::Release);
-    }
-
     fn flush_locked(&self, worker: usize, w: &mut SpillWriter) {
         if w.buf.is_empty() {
             return;
@@ -454,11 +512,11 @@ impl SpillStore {
     /// its spill range is below the flushed watermark), `None` when the
     /// bytes are still in another worker's unflushed buffer — the caller
     /// trusts the 128-bit fingerprint and bumps `unverified`.
-    pub(crate) fn matches(&self, id: u32, code: &[u8]) -> Option<bool> {
+    fn matches(&self, loc: &AtomicU64, id: u32, code: &[u8]) -> Option<bool> {
         if let Some(cached) = self.shard(id).lock().unwrap().codes.get(&id) {
             return Some(&**cached == code);
         }
-        let loc = self.locs[id as usize].load(Ordering::Acquire);
+        let loc = loc.load(Ordering::Acquire);
         debug_assert!(loc & LOC_PUBLISHED != 0, "matches() before publish()");
         let offset = (loc >> LOC_OFFSET_SHIFT) & ((1 << 40) - 1);
         let len = (loc >> LOC_LEN_SHIFT & LOC_LEN_MASK) as usize;
@@ -482,11 +540,11 @@ impl SpillStore {
     /// if needed. Only sound after all workers have quiesced (used by the
     /// round-trip tests, not the hot path).
     #[cfg(test)]
-    pub(crate) fn read_back(&self, id: u32) -> Box<[u8]> {
+    pub(crate) fn read_back(&self, loc: &AtomicU64, id: u32) -> Box<[u8]> {
         if let Some(cached) = self.shard(id).lock().unwrap().codes.get(&id) {
             return cached.clone();
         }
-        let loc = self.locs[id as usize].load(Ordering::Acquire);
+        let loc = loc.load(Ordering::Acquire);
         assert!(loc & LOC_PUBLISHED != 0);
         let offset = (loc >> LOC_OFFSET_SHIFT) & ((1 << 40) - 1);
         let len = (loc >> LOC_LEN_SHIFT & LOC_LEN_MASK) as usize;
@@ -497,6 +555,63 @@ impl SpillStore {
         let mut buf = vec![0u8; len];
         read_exact_at(&self.files[worker].file, &mut buf, offset).unwrap();
         buf.into_boxed_slice()
+    }
+}
+
+impl CodeStore for SpillStore {
+    type Entry = AtomicU64;
+
+    fn is_same(&self, loc: &AtomicU64, id: u32, code: &[u8]) -> bool {
+        self.matches(loc, id, code).unwrap_or_else(|| {
+            // Still buffered by another worker: trust the 128-bit
+            // fingerprint, count the leap of faith.
+            self.counters.unverified.fetch_add(1, Ordering::Relaxed);
+            true
+        })
+    }
+
+    /// Appends `code` for freshly claimed `id` on behalf of `worker` and
+    /// stores where it went in `loc`, the id's table entry. Runs before
+    /// the table's meta release, which orders the location store.
+    fn publish(&self, loc: &AtomicU64, worker: usize, id: u32, code: Box<[u8]>) {
+        debug_assert!(
+            (code.len() as u64) <= LOC_LEN_MASK,
+            "code too large to spill"
+        );
+        let offset;
+        {
+            let mut w = self.files[worker].writer.lock().unwrap();
+            offset = w.base + w.buf.len() as u64;
+            w.buf.extend_from_slice(&code);
+            if w.buf.len() >= FLUSH_CHUNK {
+                self.flush_locked(worker, &mut w);
+            }
+        }
+        self.counters
+            .bytes_spilled
+            .fetch_add(code.len() as u64, Ordering::Relaxed);
+        let packed = LOC_PUBLISHED
+            | offset << LOC_OFFSET_SHIFT
+            | (code.len() as u64) << LOC_LEN_SHIFT
+            | worker as u64;
+        self.cache(id, code);
+        // Ordered before the table's meta Release by ORD-DEDUP-META-002.
+        loc.store(packed, Ordering::Release);
+    }
+
+    fn report<P: anonreg_obs::Probe>(&self, probe: &P) {
+        let c = &self.counters;
+        probe.counter(
+            Metric::SpillBytes,
+            0,
+            c.bytes_spilled.load(Ordering::Relaxed),
+        );
+        probe.counter(Metric::SpillReads, 0, c.disk_reads.load(Ordering::Relaxed));
+        probe.counter(
+            Metric::DedupUnverified,
+            0,
+            c.unverified.load(Ordering::Relaxed),
+        );
     }
 }
 
@@ -539,91 +654,106 @@ mod tests {
         false
     }
 
+    /// Interns `code` under its own fingerprint in a one-probe batch.
+    fn intern(table: &FpTable<InMemory>, code: &[u8]) -> Probe {
+        table.batch().intern(0, fp128(code), code.into(), no_abort)
+    }
+
+    fn locs(n: usize) -> Vec<AtomicU64> {
+        (0..n).map(|_| AtomicU64::new(0)).collect()
+    }
+
     #[test]
     fn intern_assigns_dense_ids_and_finds_duplicates() {
-        let table = FpTable::new(1000);
+        let table = FpTable::new(1000, InMemory);
         let codes: Vec<Vec<u8>> = (0..100u32).map(|i| i.to_le_bytes().to_vec()).collect();
-        let mut ids = Vec::new();
-        for code in &codes {
-            let fp = fp128(code);
-            match table.intern(fp, |_| true, |id| ids.push(id), no_abort) {
-                Probe::Fresh(id) => assert_eq!(id, *ids.last().unwrap()),
+        let ids: Vec<u32> = codes
+            .iter()
+            .map(|code| match intern(&table, code) {
+                Probe::Fresh(id) => id,
                 other => panic!("expected fresh, got {other:?}"),
-            }
-        }
+            })
+            .collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 100, "ids must be unique");
         assert_eq!(*sorted.last().unwrap(), 99, "ids must be dense");
         for (i, code) in codes.iter().enumerate() {
-            let fp = fp128(code);
-            match table.intern(fp, |id| id == ids[i], |_| panic!("no publish"), no_abort) {
-                Probe::Known(id) => assert_eq!(id, ids[i]),
-                other => panic!("expected known, got {other:?}"),
-            }
+            assert_eq!(intern(&table, code), Probe::Known(ids[i]));
         }
         assert_eq!(table.len(), 100);
     }
 
     #[test]
     fn forced_fingerprint_collisions_probe_to_distinct_slots() {
-        // Same 128-bit fingerprint, genuinely different states: is_same
-        // disambiguates and each gets its own id.
-        let table = FpTable::new(100);
+        // Same 128-bit fingerprint, genuinely different states: the code
+        // comparison disambiguates and each gets its own id.
+        let table = FpTable::new(100, InMemory);
         let fp = Fp128 { lo: 42, hi: 7 };
-        let a = match table.intern(fp, |_| false, |_| {}, no_abort) {
+        let mut batch = table.batch();
+        let a = match batch.intern(0, fp, b"a"[..].into(), no_abort) {
             Probe::Fresh(id) => id,
             other => panic!("{other:?}"),
         };
-        let b = match table.intern(fp, |id| id == u32::MAX, |_| {}, no_abort) {
+        let b = match batch.intern(0, fp, b"b"[..].into(), no_abort) {
             Probe::Fresh(id) => id,
             other => panic!("{other:?}"),
         };
         assert_ne!(a, b);
-        // Each is findable by its own identity.
+        // Each is findable by its own code.
         assert_eq!(
-            table.intern(fp, |id| id == a, |_| {}, no_abort),
+            batch.intern(0, fp, b"a"[..].into(), no_abort),
             Probe::Known(a)
         );
         assert_eq!(
-            table.intern(fp, |id| id == b, |_| {}, no_abort),
+            batch.intern(0, fp, b"b"[..].into(), no_abort),
             Probe::Known(b)
         );
     }
 
     #[test]
     fn zero_low_half_is_storable() {
-        let table = FpTable::new(100);
+        let table = FpTable::new(100, InMemory);
         let fp = Fp128 { lo: 0, hi: 99 };
+        let mut batch = table.batch();
         assert_eq!(
-            table.intern(fp, |_| true, |_| {}, no_abort),
+            batch.intern(0, fp, b"z"[..].into(), no_abort),
             Probe::Fresh(0)
         );
         assert_eq!(
-            table.intern(fp, |_| true, |_| {}, no_abort),
+            batch.intern(0, fp, b"z"[..].into(), no_abort),
             Probe::Known(0)
         );
     }
 
     #[test]
     fn limit_is_enforced_and_published() {
-        let table = FpTable::new(3);
         // MIN_SLOTS floors the table, but the limit still honours max_states.
-        assert_eq!(table.limit(), 3);
+        let table = FpTable::new(3, InMemory);
         for i in 0..3u32 {
-            let fp = fp128(&i.to_le_bytes());
-            assert!(matches!(
-                table.intern(fp, |_| true, |_| {}, no_abort),
-                Probe::Fresh(_)
-            ));
+            assert!(matches!(intern(&table, &i.to_le_bytes()), Probe::Fresh(_)));
         }
-        let fp = fp128(b"one too many");
-        assert_eq!(table.intern(fp, |_| true, |_| {}, no_abort), Probe::Limit);
+        assert_eq!(intern(&table, b"one too many"), Probe::Limit);
         // The sentinel is published: re-probing the same fingerprint
         // reports Limit instead of spinning.
-        assert_eq!(table.intern(fp, |_| true, |_| {}, no_abort), Probe::Limit);
+        assert_eq!(intern(&table, b"one too many"), Probe::Limit);
         assert_eq!(table.len(), 3);
+    }
+
+    /// A table starts small and doubles as it fills, whatever the cap.
+    #[test]
+    fn table_grows_with_the_states_not_the_cap() {
+        let table = FpTable::new(usize::MAX, InMemory);
+        assert_eq!(table.capacity(), MIN_SLOTS);
+        for i in 0..5_000u32 {
+            assert_eq!(intern(&table, &i.to_le_bytes()), Probe::Fresh(i));
+        }
+        // Half full at most, and no more than one doubling past that.
+        assert_eq!(table.capacity(), 16 * 1024);
+        for i in 0..5_000u32 {
+            assert_eq!(intern(&table, &i.to_le_bytes()), Probe::Known(i));
+        }
     }
 
     /// Seeded multi-threaded hammer: every thread interns the same key
@@ -634,16 +764,16 @@ mod tests {
         const THREADS: usize = 4;
         const KEYS: usize = 256;
         for seed in 0u64..8 {
-            let table = FpTable::new(KEYS * 2);
+            let table = FpTable::new(KEYS * 2, InMemory);
             let barrier = Barrier::new(THREADS);
-            let fps: Vec<Fp128> = (0..KEYS)
-                .map(|i| fp128(&(i as u64 ^ seed << 32).to_le_bytes()))
+            let codes: Vec<[u8; 8]> = (0..KEYS)
+                .map(|i| (i as u64 ^ seed << 32).to_le_bytes())
                 .collect();
             let observed: Vec<Vec<u32>> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..THREADS)
                     .map(|t| {
                         let table = &table;
-                        let fps = &fps;
+                        let codes = &codes;
                         let barrier = &barrier;
                         s.spawn(move || {
                             barrier.wait();
@@ -655,9 +785,7 @@ mod tests {
                             for step in 0..KEYS {
                                 let i = k;
                                 k = (k + stride) % KEYS;
-                                let fp = fps[i];
-                                let probe = table.intern(fp, |_| true, |_| {}, no_abort);
-                                match probe {
+                                match intern(table, &codes[i]) {
                                     Probe::Fresh(id) | Probe::Known(id) => ids[i] = id,
                                     other => panic!("step {step}: {other:?}"),
                                 }
@@ -684,12 +812,113 @@ mod tests {
         }
     }
 
+    /// Four threads intern 200k keys through many doublings, in batches
+    /// like the engine's workers: ids stay dense, no key is lost or
+    /// duplicated, and every key is Known on re-probe.
+    #[test]
+    fn concurrent_interns_survive_growth() {
+        const THREADS: usize = 4;
+        const KEYS: usize = 200_000;
+        let table = FpTable::new(usize::MAX, InMemory);
+        let barrier = Barrier::new(THREADS);
+        let fresh: Vec<Vec<(usize, u32)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (table, barrier) = (&table, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let mut fresh = Vec::new();
+                        // Every thread offers every key, from a different
+                        // starting point, eight keys per batch.
+                        let keys: Vec<usize> =
+                            (0..KEYS).map(|k| (k + t * KEYS / 4) % KEYS).collect();
+                        for chunk in keys.chunks(8) {
+                            let mut batch = table.batch();
+                            for &k in chunk {
+                                let code = (k as u64).to_le_bytes();
+                                match batch.intern(t, fp128(&code), code[..].into(), no_abort) {
+                                    Probe::Fresh(id) => fresh.push((k, id)),
+                                    Probe::Known(_) => {}
+                                    other => panic!("key {k}: {other:?}"),
+                                }
+                            }
+                        }
+                        fresh
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut id_of = vec![u32::MAX; KEYS];
+        for (k, id) in fresh.into_iter().flatten() {
+            assert_eq!(id_of[k], u32::MAX, "key {k} claimed twice");
+            id_of[k] = id;
+        }
+        let mut ids = id_of.clone();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..KEYS as u32).collect::<Vec<_>>(), "ids not dense");
+        assert_eq!(table.len(), KEYS);
+        assert!(table.capacity() <= 4 * KEYS, "{} slots", table.capacity());
+        for (k, &id) in id_of.iter().enumerate() {
+            assert_eq!(intern(&table, &(k as u64).to_le_bytes()), Probe::Known(id));
+        }
+    }
+
+    /// The same growth race up to a state limit: exactly `limit` keys win
+    /// ids `0..limit`, each stays Known, and every thread stops on Limit.
+    #[test]
+    fn concurrent_growth_stops_at_the_limit() {
+        const THREADS: usize = 4;
+        const LIMIT: usize = 60_000;
+        let table = FpTable::new(LIMIT, InMemory);
+        let aborted = AtomicBool::new(false);
+        let barrier = Barrier::new(THREADS);
+        let fresh: Vec<Vec<(u64, u32)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS as u64)
+                .map(|t| {
+                    let (table, aborted, barrier) = (&table, &aborted, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let mut fresh = Vec::new();
+                        for i in 0..LIMIT as u64 {
+                            let code = (i * THREADS as u64 + t).to_le_bytes();
+                            let should_abort = || aborted.load(Ordering::Relaxed);
+                            match table.batch().intern(
+                                0,
+                                fp128(&code),
+                                code[..].into(),
+                                should_abort,
+                            ) {
+                                Probe::Fresh(id) => fresh.push((i * THREADS as u64 + t, id)),
+                                Probe::Known(_) => panic!("keys are disjoint"),
+                                Probe::Limit | Probe::Aborted => {
+                                    aborted.store(true, Ordering::Relaxed);
+                                    break;
+                                }
+                            }
+                        }
+                        fresh
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let fresh: Vec<(u64, u32)> = fresh.into_iter().flatten().collect();
+        let mut ids: Vec<u32> = fresh.iter().map(|&(_, id)| id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..LIMIT as u32).collect::<Vec<_>>());
+        assert_eq!(table.len(), LIMIT);
+        for (key, id) in fresh {
+            assert_eq!(intern(&table, &key.to_le_bytes()), Probe::Known(id));
+        }
+    }
+
     /// Concurrent claimants racing over the limit must all observe
     /// Limit/Fresh consistently and never hang on an unpublished slot.
     #[test]
     fn concurrent_limit_race_terminates() {
         const THREADS: usize = 4;
-        let table = FpTable::new(8);
+        let table = FpTable::new(8, InMemory);
         let aborted = AtomicBool::new(false);
         let fresh = AtomicUsize::new(0);
         std::thread::scope(|s| {
@@ -699,8 +928,11 @@ mod tests {
                 let fresh = &fresh;
                 s.spawn(move || {
                     for i in 0..64u64 {
-                        let fp = fp128(&(i * THREADS as u64 + t as u64).to_le_bytes());
-                        match table.intern(fp, |_| true, |_| {}, || aborted.load(Ordering::Relaxed))
+                        let code = (i * THREADS as u64 + t as u64).to_le_bytes();
+                        let should_abort = || aborted.load(Ordering::Relaxed);
+                        match table
+                            .batch()
+                            .intern(t, fp128(&code), code[..].into(), should_abort)
                         {
                             Probe::Fresh(_) => {
                                 fresh.fetch_add(1, Ordering::Relaxed);
@@ -727,52 +959,8 @@ mod tests {
     }
 
     #[test]
-    fn bloom_never_false_negative() {
-        let bloom = Bloom::new(10_000);
-        let fps: Vec<Fp128> = (0..5_000u64).map(|i| fp128(&i.to_le_bytes())).collect();
-        for fp in &fps {
-            bloom.insert(*fp);
-        }
-        for (i, fp) in fps.iter().enumerate() {
-            assert!(bloom.query(*fp), "false negative at {i}");
-        }
-        // False positives exist but must be rare at design load.
-        let false_pos = (0..10_000u64)
-            .map(|i| fp128(&(1 << 40 | i).to_le_bytes()))
-            .filter(|fp| bloom.query(*fp))
-            .count();
-        assert!(
-            false_pos < 1_500,
-            "false positive rate too high: {false_pos}/10000"
-        );
-    }
-
-    #[test]
-    fn bloom_never_false_negative_across_threads() {
-        let bloom = Bloom::new(4_096);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let bloom = &bloom;
-                s.spawn(move || {
-                    for i in 0..1_000u64 {
-                        let fp = fp128(&(t << 32 | i).to_le_bytes());
-                        bloom.insert(fp);
-                        // Own inserts are immediately visible to self.
-                        assert!(bloom.query(fp));
-                    }
-                });
-            }
-        });
-        for t in 0..4u64 {
-            for i in 0..1_000u64 {
-                assert!(bloom.query(fp128(&(t << 32 | i).to_le_bytes())));
-            }
-        }
-    }
-
-    #[test]
     fn spill_round_trip_is_identity() {
-        let spill = SpillStore::new(2, 10_000, 1 << 20).unwrap();
+        let spill = SpillStore::new(2, 1 << 20).unwrap();
         // Codes long enough to straddle flush chunks, varied lengths.
         let codes: Vec<Box<[u8]>> = (0..2_000u32)
             .map(|i| {
@@ -781,12 +969,13 @@ mod tests {
                     .collect()
             })
             .collect();
+        let locs = locs(codes.len());
         for (i, code) in codes.iter().enumerate() {
-            spill.publish(i % 2, i as u32, code);
+            spill.publish(&locs[i], i % 2, i as u32, code.clone());
         }
         for (i, code) in codes.iter().enumerate() {
             assert_eq!(
-                spill.read_back(i as u32),
+                spill.read_back(&locs[i], i as u32),
                 *code,
                 "round-trip mismatch at id {i}"
             );
@@ -800,7 +989,7 @@ mod tests {
     #[test]
     fn spill_matches_verifies_through_lru_and_disk() {
         // Tiny LRU budget forces disk verification for old ids.
-        let spill = SpillStore::new(1, 10_000, 1).unwrap();
+        let spill = SpillStore::new(1, 1).unwrap();
         // 4000 × 600-byte codes ≈ 2.4 MiB: well past the 1 MiB flush
         // chunk, so most ids are covered by the flushed watermark while
         // the tail stays in the write buffer (unverifiable by design).
@@ -811,17 +1000,18 @@ mod tests {
                     .collect()
             })
             .collect();
+        let locs = locs(codes.len());
         for (i, code) in codes.iter().enumerate() {
-            spill.publish(0, i as u32, code);
+            spill.publish(&locs[i], 0, i as u32, code.clone());
         }
         let mut unverified = 0u32;
         for (i, code) in codes.iter().enumerate() {
-            match spill.matches(i as u32, code) {
+            match spill.matches(&locs[i], i as u32, code) {
                 Some(equal) => assert!(equal, "own code must match at {i}"),
                 None => unverified += 1, // tail still in the write buffer
             }
             assert_ne!(
-                spill.matches(i as u32, b"definitely not that code"),
+                spill.matches(&locs[i], i as u32, b"definitely not that code"),
                 Some(true),
                 "wrong code must not match at {i}"
             );

@@ -1,29 +1,33 @@
-//! The breadth-parallel exploration engine.
+//! The exploration engine.
 //!
-//! `run_parallel` explores the same reachable graph as the sequential
-//! engine, split across worker threads:
+//! One worker loop serves every run. Graph mode
+//! ([`Explorer::run`](super::Explorer::run)) is stats mode
+//! ([`Explorer::run_stats`](super::Explorer::run_stats)) plus a sink that keeps each
+//! expanded state with its edges. `parallelism(1)` is the single-worker
+//! case: the lone worker runs on the calling thread, pops its own deque
+//! last-in first-out and interns successors in expansion order, so it
+//! numbers states in one deterministic depth-first order — the canonical
+//! ids that [`StateGraph::schedule_to`] replays and golden tests pin.
+//! With more workers the same loop runs on scoped threads:
 //!
-//! * **Lock-free dedup table** — state identity lives in a fixed-capacity
-//!   open-addressing fingerprint table ([`FpTable`]): one CAS claims a
-//!   slot, one release store publishes the id, and readers acquire
-//!   through the same word before touching the canonical code (the
-//!   Arc-style publication idiom; orderings are certified in
-//!   `explore/dedup.rs` and `anonreg_sanitizer::explorer_site_notes`).
-//!   A blocked atomic bloom filter ([`Bloom`]) is fed before every claim
-//!   and screens the sequential engine's probes; here it doubles as a
-//!   dedup statistic. Canonical codes live in an id-indexed `OnceLock`
-//!   arena, or — with [`ExploreConfig::spill`] — in per-worker temp
-//!   files behind a sharded LRU tier ([`SpillStore`]), so code bytes no
-//!   longer bound the state count by RAM.
+//! * **Lock-free dedup table** — state identity lives in an
+//!   open-addressing fingerprint table ([`FpTable`]) that doubles when
+//!   half full: one CAS claims a slot, one release store publishes the
+//!   id, and readers acquire through the same word before touching the
+//!   canonical code (the Arc-style publication idiom; orderings are
+//!   certified in `explore/dedup.rs` and
+//!   `anonreg_sanitizer::explorer_site_notes`). Canonical codes live in
+//!   the table's id-indexed entries, or — with [`ExploreConfig::spill`] —
+//!   in per-worker temp files behind a sharded LRU tier ([`SpillStore`]),
+//!   so code bytes no longer bound the state count by RAM.
 //! * **States travel with the work items** — a discovered state's
 //!   `Simulation` is moved into its frontier entry and, in graph mode,
-//!   into the striped state store only after its expansion, eliminating
-//!   the store-then-reclone round trip per state the mutex-sharded
-//!   design paid.
-//! * **Per-worker frontier deques with work stealing** — each worker pops
-//!   depth-first from the back of its own deque (keeps the hot end of the
-//!   frontier in cache) and steals breadth-first from the front of a
-//!   neighbour's when it runs dry.
+//!   into the graph sink only after its expansion, so no state is ever
+//!   stored and then recloned for expansion.
+//! * **Depth-first locally, breadth-first across workers** — each worker
+//!   pops depth-first from the back of its own deque (keeps the hot end
+//!   of the frontier in cache) and steals breadth-first from the front of
+//!   a neighbour's when it runs dry.
 //!
 //! Termination uses a `pending` counter of discovered-but-unexpanded
 //! states: a child is counted *before* it is enqueued and its parent is
@@ -33,39 +37,32 @@
 //! (`pending == 0` with an empty local scan really means the frontier is
 //! globally drained; see `ORD-EXP-PENDING-005` for why Relaxed suffices).
 //!
-//! State ids are assigned in race order, so two parallel runs (or a
-//! parallel and a sequential run) number states differently. The *graph*
-//! is identical up to that renumbering — the property tests in
-//! `crates/core/tests/parallel_modelcheck.rs` check graph isomorphism
-//! against the sequential engine family by family, and
-//! `por_modelcheck.rs` does the same for the partial-order-reduced
-//! graphs. Under a symmetry mode the stored representative of an orbit
-//! is the first *concrete* state to reach the dedup table, so which
-//! member represents an orbit (and hence edge event labels) is racy, but
-//! the orbit set — state and edge counts, and every verdict — is
-//! deterministic.
+//! With several workers, state ids are assigned in race order, so two
+//! runs number states differently. The *graph* is identical up to that
+//! renumbering — `crates/core/tests/parallel_modelcheck.rs` checks graph
+//! isomorphism at 1, 2 and 4 workers against an independent reference
+//! explorer family by family, and `por_modelcheck.rs` does the same for
+//! the partial-order-reduced graphs. Under a symmetry mode the stored
+//! representative of an orbit is the first *concrete* state to reach the
+//! dedup table, so which member represents an orbit (and hence edge event
+//! labels) is racy, but the orbit set — state and edge counts, and every
+//! verdict — is deterministic.
 
 use std::collections::VecDeque;
 use std::hash::Hash;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use anonreg_model::fingerprint::{fp128, Fp128};
 use anonreg_model::{Machine, SymmetryMode};
-use anonreg_obs::{Metric, Phase, Probe, Profiler, Span};
+use anonreg_obs::{Metric, Phase, PhaseTimer, Probe, Profiler, Span};
 
-use super::dedup::{Bloom, FpTable, Probe as TableProbe, SpillStore};
-use super::{
-    expand_into, record_timer, report_symmetry, Edge, ExploreConfig, ExploreError, ExploreStats,
-    FlushedCounters, PorTally, StateGraph, Successor, GAUGE_SAMPLE_EVERY,
-};
+use super::dedup::{CodeStore, FpTable, InMemory, Probe as TableProbe, SpillStore};
+use super::{Edge, ExploreConfig, ExploreError, ExploreStats, StateGraph};
 use crate::canon::StateEncoder;
-use crate::Simulation;
-
-/// Number of state-store stripes (graph mode only; a state's stripe is
-/// chosen by id).
-const STRIPES: usize = 64;
+use crate::{Simulation, StepOutcome};
 
 /// How many consecutive empty steal sweeps before an idle worker sleeps
 /// instead of spinning. Keeps idle workers cheap when the frontier is
@@ -83,71 +80,270 @@ const SPILL_LRU_BUDGET: usize = 64 << 20;
 /// count — is bit-identical to the unbatched loop.
 const FP_BATCH: usize = 8;
 
+/// How often the explorer samples its frontier/depth gauges, in
+/// discovered states. Sampling (rather than reporting every state) keeps
+/// the gauges cheap on million-state runs; the final values are always
+/// reported exactly.
+const GAUGE_SAMPLE_EVERY: usize = 1024;
+
 /// A discovered-but-unexpanded state. The frontier owns the only
-/// `Simulation` clone of the state until it is expanded (the old design
-/// stored it at discovery and recloned it at expansion — one full state
-/// copy per state, for nothing).
+/// `Simulation` of the state until it is expanded.
 struct WorkItem<M: Machine> {
     id: u32,
     depth: u32,
+    /// `(parent, process, crash)` of the discovering transition; `None`
+    /// for the initial state.
+    parent: Option<(u32, u32, bool)>,
     sim: Simulation<M>,
 }
 
-/// The interned states, striped by `id % STRIPES`. Only graph mode keeps
-/// one; stats mode drops every expanded state on the floor.
-struct StateStore<M: Machine> {
-    stripes: Vec<Mutex<Vec<Option<Simulation<M>>>>>,
+/// One computed successor of a state, before interning.
+struct Successor<M: Machine> {
+    proc: usize,
+    crash: bool,
+    sim: Simulation<M>,
+    event: Option<M::Event>,
+    /// The step was a register-free local step (event announcement or
+    /// halt) — membership in the state's ample set.
+    local: bool,
 }
 
-impl<M: Machine + Eq> StateStore<M> {
-    fn new() -> Self {
-        StateStore {
-            stripes: (0..STRIPES).map(|_| Mutex::new(Vec::new())).collect(),
+/// Expands `state` into `out` (cleared first): one successor per live
+/// process, plus one crash successor each under the crash model. With
+/// `por`, and when at least one process is poised at a register-free
+/// local step, only those processes' successors are kept (the ample
+/// set — see [`Explorer::por`](super::Explorer::por) for why this is sound and why the ample
+/// set is *all* such processes, never fewer). Returns how many
+/// successors were pruned.
+fn expand_into<M: Machine + Eq>(
+    state: &Simulation<M>,
+    crashes: bool,
+    por: bool,
+    out: &mut Vec<Successor<M>>,
+) -> u64 {
+    out.clear();
+    for proc in 0..state.process_count() {
+        if state.is_halted(proc) {
+            continue;
+        }
+        let mut sim = state.clone();
+        let (outcome, event) = sim.step_quiet(proc).expect("slot is valid and not halted");
+        let local = matches!(outcome, StepOutcome::Event | StepOutcome::Halted);
+        out.push(Successor {
+            proc,
+            crash: false,
+            sim,
+            event,
+            local,
+        });
+        if crashes {
+            let mut sim = state.clone();
+            sim.crash_quiet(proc).expect("slot is valid");
+            out.push(Successor {
+                proc,
+                crash: true,
+                sim,
+                event: None,
+                local: false,
+            });
+        }
+    }
+    if por && out.iter().any(|s| s.local) {
+        let before = out.len();
+        out.retain(|s| s.local);
+        (before - out.len()) as u64
+    } else {
+        0
+    }
+}
+
+/// POR counters for one engine worker, reported only when the reduction
+/// actually fired so unreduced runs keep their probe output unchanged.
+#[derive(Default)]
+struct PorTally {
+    /// States at which the ample set was a proper subset.
+    ample: u64,
+    /// Successors pruned across those states.
+    pruned: u64,
+}
+
+impl PorTally {
+    fn absorb(&mut self, pruned: u64) {
+        if pruned > 0 {
+            self.ample += 1;
+            self.pruned += pruned;
         }
     }
 
-    fn insert(&self, id: usize, state: Simulation<M>) {
-        let mut stripe = self.stripes[id % STRIPES].lock().expect("store lock");
-        let slot = id / STRIPES;
-        if stripe.len() <= slot {
-            stripe.resize_with(slot + 1, || None);
+    fn report<P: Probe>(&self, probe: &P, key: u64) {
+        if self.ample > 0 {
+            probe.counter(Metric::PorAmple, key, self.ample);
+            probe.counter(Metric::PorPruned, key, self.pruned);
         }
-        stripe[slot] = Some(state);
     }
-
-    /// Drains the store into an id-ordered state vector.
-    fn into_states(self, total: usize) -> Vec<Simulation<M>> {
-        let mut stripes: Vec<Vec<Option<Simulation<M>>>> = self
-            .stripes
-            .into_iter()
-            .map(|m| m.into_inner().expect("store lock"))
-            .collect();
-        (0..total)
-            .map(|id| {
-                stripes[id % STRIPES][id / STRIPES]
-                    .take()
-                    .expect("every expanded id was stored")
-            })
-            .collect()
+}
+/// Hands a finished engine worker's phase timer to the profiler, if both
+/// are attached.
+fn record_timer(profiler: Option<&Profiler>, timer: Option<PhaseTimer>) {
+    if let (Some(p), Some(t)) = (profiler, timer) {
+        p.record(t.finish());
     }
 }
 
-/// Canonical code arena: one write-once slot per interned id.
-type CodeArena = Box<[OnceLock<Box<[u8]>>]>;
+/// Running totals already emitted as incremental `explore_*` counter
+/// flushes. Workers flush on the gauge sampling cadence so a live
+/// stream sees progress mid-run; the final report emits only the
+/// remainder, keeping every counter total exact.
+#[derive(Default)]
+struct FlushedCounters {
+    states: u64,
+    edges: u64,
+    dedup: u64,
+}
+
+impl FlushedCounters {
+    /// Emits the not-yet-flushed part of each running total.
+    fn flush<P: Probe>(&mut self, probe: &P, dedup_key: u64, states: u64, edges: u64, dedup: u64) {
+        if states > self.states {
+            probe.counter(Metric::ExploreStates, 0, states - self.states);
+            self.states = states;
+        }
+        if edges > self.edges {
+            probe.counter(Metric::ExploreEdges, 0, edges - self.edges);
+            self.edges = edges;
+        }
+        if dedup > self.dedup {
+            probe.counter(Metric::ExploreDedup, dedup_key, dedup - self.dedup);
+            self.dedup = dedup;
+        }
+    }
+
+    /// Final emission: like [`FlushedCounters::flush`] but unconditional,
+    /// so each counter has an entry even when its total is zero.
+    fn finish<P: Probe>(&mut self, probe: &P, dedup_key: u64, states: u64, edges: u64, dedup: u64) {
+        probe.counter(Metric::ExploreStates, 0, states.saturating_sub(self.states));
+        probe.counter(Metric::ExploreEdges, 0, edges.saturating_sub(self.edges));
+        probe.counter(
+            Metric::ExploreDedup,
+            dedup_key,
+            dedup.saturating_sub(self.dedup),
+        );
+        self.states = states.max(self.states);
+        self.edges = edges.max(self.edges);
+        self.dedup = dedup.max(self.dedup);
+    }
+}
+
+/// Graph mode's output, indexed by state id and filled as states are
+/// expanded.
+struct GraphSink<M: Machine> {
+    states: Vec<Option<Simulation<M>>>,
+    edges: Vec<Vec<Edge<M::Event>>>,
+    parents: Vec<Option<(usize, usize, bool)>>,
+}
+
+impl<M: Machine> GraphSink<M> {
+    fn record(
+        &mut self,
+        id: usize,
+        state: Simulation<M>,
+        parent: Option<(u32, u32, bool)>,
+        edges: Vec<Edge<M::Event>>,
+    ) {
+        if self.states.len() <= id {
+            self.states.resize_with(id + 1, || None);
+            self.edges.resize_with(id + 1, Vec::new);
+            self.parents.resize(id + 1, None);
+        }
+        self.states[id] = Some(state);
+        self.edges[id] = edges;
+        self.parents[id] = parent.map(|(p, proc, crash)| (p as usize, proc as usize, crash));
+    }
+
+    /// The finished graph of `total` states. `Option<Simulation>` is a
+    /// `Simulation` with a niche, so the unwrapping collect reuses the
+    /// vector's buffer: assembly never holds a second copy of the states.
+    fn into_graph(mut self, total: usize) -> StateGraph<M> {
+        self.states.resize_with(total, || None);
+        self.edges.resize_with(total, Vec::new);
+        self.parents.resize(total, None);
+        StateGraph {
+            states: self
+                .states
+                .into_iter()
+                .map(|s| s.expect("every interned state was expanded"))
+                .collect(),
+            edges: self.edges,
+            parents: self.parents,
+        }
+    }
+}
+
+/// Encodes states for the dedup table and tallies the symmetry work for
+/// the probe. Canonical searches are timed; when the encoder detected a
+/// trivial symmetry group it already short-circuits to the plain identity
+/// path, so timing it as canonicalization would charge symmetry
+/// reduction for work it no longer does — those encodes are counted as
+/// skipped instead.
+struct Encoding<'e, M: Machine> {
+    encoder: &'e StateEncoder<M>,
+    time_canon: bool,
+    count_skipped: bool,
+    /// Encodes that moved the state to another orbit member.
+    hits: u64,
+    canon_nanos: u64,
+    skipped: u64,
+}
+
+impl<'e, M: Machine + Eq + Hash> Encoding<'e, M> {
+    fn new<P: Probe>(encoder: &'e StateEncoder<M>) -> Self {
+        let skips = encoder.skips_trivial_orbits();
+        Encoding {
+            encoder,
+            time_canon: P::ENABLED && encoder.mode() != SymmetryMode::Off && !skips,
+            count_skipped: P::ENABLED && skips,
+            hits: 0,
+            canon_nanos: 0,
+            skipped: 0,
+        }
+    }
+
+    fn encode(&mut self, sim: &Simulation<M>) -> Box<[u8]> {
+        if self.time_canon {
+            let start = Instant::now();
+            let (code, moved) = self.encoder.encode(sim);
+            self.canon_nanos += start.elapsed().as_nanos() as u64;
+            self.hits += u64::from(moved);
+            code
+        } else {
+            self.skipped += u64::from(self.count_skipped);
+            self.encoder.encode(sim).0
+        }
+    }
+
+    /// Emits the tallies under `key`, each only if nonzero, so plain
+    /// explorations keep their probe output unchanged.
+    fn report<P: Probe>(&self, probe: &P, key: u64) {
+        if self.hits > 0 {
+            probe.counter(Metric::SymmetryHits, key, self.hits);
+        }
+        if self.canon_nanos > 0 {
+            probe.counter(Metric::CanonTime, key, self.canon_nanos);
+        }
+        if self.skipped > 0 {
+            probe.counter(Metric::CanonSkipped, key, self.skipped);
+        }
+    }
+}
 
 /// Everything the workers share.
-struct Ctx<M: Machine> {
-    table: FpTable,
-    bloom: Bloom,
-    /// Canonical code arena, indexed by id (`None` when spilling).
-    /// A code is set before its id's table slot is published, so a
-    /// reader that found the id always finds the code
-    /// (ORD-DEDUP-META-002).
-    codes: Option<CodeArena>,
-    /// On-disk code store (`Some` exactly when `codes` is `None`).
-    spill: Option<SpillStore>,
-    /// Graph mode: the authoritative `Simulation` per expanded id.
-    store: Option<StateStore<M>>,
+struct Ctx<M: Machine, S: CodeStore> {
+    table: FpTable<S>,
+    /// The phase interns are charged to: [`Phase::Spill`] when the probe
+    /// includes the LRU/file tier, so profiles separate table time from IO.
+    intern_phase: Phase,
+    /// Graph mode only.
+    sink: Option<Mutex<GraphSink<M>>>,
     /// One frontier deque per worker.
     queues: Vec<Mutex<VecDeque<WorkItem<M>>>>,
     /// Discovered-but-unexpanded states (see module docs).
@@ -159,7 +355,7 @@ struct Ctx<M: Machine> {
     pending: AtomicUsize,
     /// Advisory stop flag (state limit hit or a sibling panicked).
     /// ORD-EXP-ABORT-007: Relaxed — no data rides on it; the authoritative
-    /// error is decided on the main thread after the joins.
+    /// error is decided on the calling thread after the joins.
     aborted: AtomicBool,
     /// Maximum discovery depth seen.
     max_depth: AtomicU64,
@@ -167,47 +363,10 @@ struct Ctx<M: Machine> {
     por: bool,
 }
 
-impl<M: Machine + Eq + Hash> Ctx<M> {
-    /// Offers `code` (fingerprinted as `fp`) to the dedup table on
-    /// behalf of worker `me`. The bloom bits are set before any claim,
-    /// preserving the filter's never-false-negative contract.
-    fn intern(&self, me: usize, fp: Fp128, code: &[u8]) -> TableProbe {
-        self.bloom.insert(fp);
-        let should_abort = || self.aborted.load(Ordering::Relaxed);
-        if let Some(spill) = &self.spill {
-            self.table.intern(
-                fp,
-                |id| match spill.matches(id, code) {
-                    Some(equal) => equal,
-                    None => {
-                        // Still buffered by another worker: trust the
-                        // 128-bit fingerprint, count the leap of faith.
-                        spill.counters.unverified.fetch_add(1, Ordering::Relaxed);
-                        true
-                    }
-                },
-                |id| spill.publish(me, id, code),
-                should_abort,
-            )
-        } else {
-            let codes = self.codes.as_ref().expect("no-spill mode has a code arena");
-            self.table.intern(
-                fp,
-                |id| codes[id as usize].get().is_some_and(|c| &**c == code),
-                |id| {
-                    let stored = codes[id as usize].set(code.into());
-                    debug_assert!(stored.is_ok(), "each id is published exactly once");
-                },
-                should_abort,
-            )
-        }
-    }
-}
-
 /// Releases one unit of `pending` when an expansion ends — normally or
 /// by unwinding. A panicking worker additionally trips the abort flag so
 /// its siblings drain and exit instead of waiting for work that will
-/// never come; the main thread turns the panicked join into
+/// never come; the calling thread turns the panic into
 /// [`ExploreError::WorkerPanicked`].
 struct PendingGuard<'a> {
     pending: &'a AtomicUsize,
@@ -224,13 +383,9 @@ impl Drop for PendingGuard<'_> {
     }
 }
 
-/// What one worker brings home: its slice of the graph plus its tallies.
-struct WorkerOut<M: Machine> {
-    /// Outgoing edges of every state this worker expanded (graph mode).
-    edges: Vec<(u32, Vec<Edge<M::Event>>)>,
-    /// Discovery parents of every state this worker discovered:
-    /// `(child, parent, proc, crash)` (graph mode).
-    parents: Vec<(u32, u32, u32, bool)>,
+/// What one worker brings home: its tallies.
+#[derive(Default)]
+struct WorkerOut {
     /// States expanded.
     expanded: u64,
     /// States this worker discovered (interned as `Fresh`).
@@ -241,15 +396,17 @@ struct WorkerOut<M: Machine> {
     steals: u64,
     /// Transitions recorded.
     edge_total: u64,
-    /// Definite bloom misses among this worker's interns.
-    bloom_neg: u64,
     /// Ample-set reduction tallies.
     por: PorTally,
 }
 
 /// Pops the next work item: own deque from the back, else a sweep of the
 /// other workers' deques from the front.
-fn pop_work<M: Machine>(me: usize, ctx: &Ctx<M>, steals: &mut u64) -> Option<WorkItem<M>> {
+fn pop_work<M: Machine, S: CodeStore>(
+    me: usize,
+    ctx: &Ctx<M, S>,
+    steals: &mut u64,
+) -> Option<WorkItem<M>> {
     if let Some(item) = ctx.queues[me].lock().expect("queue lock").pop_back() {
         return Some(item);
     }
@@ -265,49 +422,27 @@ fn pop_work<M: Machine>(me: usize, ctx: &Ctx<M>, steals: &mut u64) -> Option<Wor
 }
 
 /// One worker's main loop.
-fn worker<M, P>(
+fn worker<M, P, S>(
     me: usize,
-    ctx: &Ctx<M>,
+    ctx: &Ctx<M, S>,
     probe: &P,
     encoder: &StateEncoder<M>,
     profiler: Option<&Profiler>,
-) -> WorkerOut<M>
+) -> WorkerOut
 where
     M: Machine + Eq + Hash,
     P: Probe,
+    S: CodeStore,
 {
-    if P::ENABLED {
+    // A lone worker is the whole run: the `explore` span covers it.
+    let per_worker = P::ENABLED && ctx.queues.len() > 1;
+    if per_worker {
         probe.span_open(Span::ExploreWorker, me as u64);
     }
     let mut timer = profiler.map(|p| p.timer(me as u64));
-    let mut out = WorkerOut {
-        edges: Vec::new(),
-        parents: Vec::new(),
-        expanded: 0,
-        fresh: 0,
-        dedup: 0,
-        steals: 0,
-        edge_total: 0,
-        bloom_neg: 0,
-        por: PorTally::default(),
-    };
-    // See `run_sequential`: the trivial-orbit fast path is plain
-    // encoding, so count it as skipped rather than timing it as
-    // canonicalization.
-    let track_canon =
-        P::ENABLED && encoder.mode() != SymmetryMode::Off && !encoder.skips_trivial_orbits();
-    let track_skipped = P::ENABLED && encoder.skips_trivial_orbits();
-    // In spill mode the intern probe includes the LRU/file tier; charge
-    // it to the spill phase so profiles separate table time from IO.
-    let intern_phase = if ctx.spill.is_some() {
-        Phase::Spill
-    } else {
-        Phase::Dedup
-    };
-    let collect_graph = ctx.store.is_some();
-    let mut canon_nanos = 0u64;
-    let mut symmetry_hits = 0u64;
-    let mut canon_skipped = 0u64;
+    let mut out = WorkerOut::default();
+    let mut encoding = Encoding::new::<P>(encoder);
+    let should_abort = || ctx.aborted.load(Ordering::Relaxed);
     let mut flushed = FlushedCounters::default();
     let mut successors: Vec<Successor<M>> = Vec::new();
     let mut batch: Vec<(Successor<M>, Box<[u8]>, Fp128)> = Vec::with_capacity(FP_BATCH);
@@ -335,6 +470,7 @@ where
         let WorkItem {
             id,
             depth,
+            parent,
             sim: state,
         } = item;
         // From here the popped item is accounted for even if a machine
@@ -348,7 +484,11 @@ where
         }
         out.por
             .absorb(expand_into(&state, ctx.crashes, ctx.por, &mut successors));
-        let mut edges_out = Vec::with_capacity(if collect_graph { successors.len() } else { 0 });
+        let mut edges_out = Vec::with_capacity(if ctx.sink.is_some() {
+            successors.len()
+        } else {
+            0
+        });
         // Batched fingerprinting: encode + hash up to FP_BATCH successors
         // back-to-back, then drain them through the shared table in the
         // same order the unbatched loop would have used.
@@ -362,16 +502,7 @@ where
                 let Some(succ) = pending_succs.next() else {
                     break;
                 };
-                let code = if track_canon {
-                    let start = Instant::now();
-                    let (code, moved) = encoder.encode(&succ.sim);
-                    canon_nanos += start.elapsed().as_nanos() as u64;
-                    symmetry_hits += u64::from(moved);
-                    code
-                } else {
-                    canon_skipped += u64::from(track_skipped);
-                    encoder.encode(&succ.sim).0
-                };
+                let code = encoding.encode(&succ.sim);
                 let fp = fp128(&code);
                 batch.push((succ, code, fp));
             }
@@ -379,22 +510,17 @@ where
                 break;
             }
             if let Some(t) = timer.as_mut() {
-                t.switch(intern_phase);
+                t.switch(ctx.intern_phase);
             }
+            let mut table = ctx.table.batch();
             for (succ, code, fp) in batch.drain(..) {
-                if P::ENABLED && !ctx.bloom.query(fp) {
-                    out.bloom_neg += 1;
-                }
-                let target = match ctx.intern(me, fp, &code) {
+                let target = match table.intern(me, fp, code, should_abort) {
                     TableProbe::Known(t) => {
                         out.dedup += 1;
                         t
                     }
                     TableProbe::Fresh(t) => {
                         out.fresh += 1;
-                        if collect_graph {
-                            out.parents.push((t, id, succ.proc as u32, succ.crash));
-                        }
                         // Count the child before enqueueing it so `pending`
                         // never under-reports outstanding work.
                         ctx.pending.fetch_add(1, Ordering::Relaxed);
@@ -404,6 +530,7 @@ where
                             .push_back(WorkItem {
                                 id: t,
                                 depth: depth + 1,
+                                parent: Some((id, succ.proc as u32, succ.crash)),
                                 sim: succ.sim,
                             });
                         ctx.max_depth
@@ -416,7 +543,7 @@ where
                     }
                 };
                 out.edge_total += 1;
-                if collect_graph {
+                if ctx.sink.is_some() {
                     edges_out.push(Edge {
                         proc: succ.proc,
                         target: target as usize,
@@ -426,9 +553,10 @@ where
                 }
             }
         }
-        if let Some(store) = &ctx.store {
-            out.edges.push((id, edges_out));
-            store.insert(id as usize, state);
+        if let Some(sink) = &ctx.sink {
+            sink.lock()
+                .expect("sink lock")
+                .record(id as usize, state, parent, edges_out);
         }
         out.expanded += 1;
         if P::ENABLED && out.expanded % GAUGE_SAMPLE_EVERY as u64 == 0 {
@@ -447,55 +575,20 @@ where
     }
     if P::ENABLED {
         flushed.finish(probe, me as u64, out.fresh, out.edge_total, out.dedup);
-        probe.counter(Metric::ExploreSteals, me as u64, out.steals);
-        report_symmetry(probe, me as u64, symmetry_hits, canon_nanos, canon_skipped);
+        encoding.report(probe, me as u64);
         out.por.report(probe, me as u64);
-        if out.bloom_neg > 0 {
-            probe.counter(Metric::BloomNeg, me as u64, out.bloom_neg);
+        if per_worker {
+            probe.counter(Metric::ExploreSteals, me as u64, out.steals);
+            probe.span_close(Span::ExploreWorker, me as u64, out.expanded);
         }
-        probe.span_close(Span::ExploreWorker, me as u64, out.expanded);
     }
     record_timer(profiler, timer);
     out
 }
 
-/// Explores the reachable graph of `initial` with `threads` workers.
-pub(super) fn run_parallel<M, P>(
-    initial: Simulation<M>,
-    config: &ExploreConfig,
-    probe: &P,
-    threads: usize,
-    encoder: &StateEncoder<M>,
-    profiler: Option<&Profiler>,
-) -> Result<StateGraph<M>, ExploreError>
-where
-    M: Machine + Eq + Hash,
-    P: Probe,
-{
-    let (graph, _) = run_impl(initial, config, probe, threads, encoder, profiler, true)?;
-    Ok(graph.expect("graph mode materialises a graph"))
-}
-
-/// Count-only sibling of [`run_parallel`]: same exploration, no
-/// [`StateGraph`].
-pub(super) fn run_parallel_stats<M, P>(
-    initial: Simulation<M>,
-    config: &ExploreConfig,
-    probe: &P,
-    threads: usize,
-    encoder: &StateEncoder<M>,
-    profiler: Option<&Profiler>,
-) -> Result<ExploreStats, ExploreError>
-where
-    M: Machine + Eq + Hash,
-    P: Probe,
-{
-    let (_, stats) = run_impl(initial, config, probe, threads, encoder, profiler, false)?;
-    Ok(stats)
-}
-
-#[allow(clippy::too_many_lines)]
-fn run_impl<M, P>(
+/// Explores the reachable graph of `initial` with `threads` workers,
+/// keeping the graph (`collect_graph`) or only its counts.
+pub(super) fn run<M, P>(
     initial: Simulation<M>,
     config: &ExploreConfig,
     probe: &P,
@@ -508,61 +601,87 @@ where
     M: Machine + Eq + Hash,
     P: Probe,
 {
+    if config.spill {
+        // The spill location packs a 5-bit worker index.
+        let threads = threads.min(32);
+        let store =
+            SpillStore::new(threads, SPILL_LRU_BUDGET).expect("spill temp files must be creatable");
+        let ctx = Ctx::new(config, threads, collect_graph, store, Phase::Spill);
+        explore(ctx, initial, config, probe, encoder, profiler)
+    } else {
+        let ctx = Ctx::new(config, threads, collect_graph, InMemory, Phase::Dedup);
+        explore(ctx, initial, config, probe, encoder, profiler)
+    }
+}
+
+impl<M: Machine, S: CodeStore> Ctx<M, S> {
+    fn new(
+        config: &ExploreConfig,
+        threads: usize,
+        collect_graph: bool,
+        store: S,
+        intern_phase: Phase,
+    ) -> Self {
+        Ctx {
+            table: FpTable::new(config.max_states, store),
+            intern_phase,
+            sink: collect_graph.then(|| {
+                Mutex::new(GraphSink {
+                    states: Vec::new(),
+                    edges: Vec::new(),
+                    parents: Vec::new(),
+                })
+            }),
+            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            pending: AtomicUsize::new(0),
+            aborted: AtomicBool::new(false),
+            max_depth: AtomicU64::new(0),
+            crashes: config.crashes,
+            por: config.por,
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The dedup table's slot count at the end of this thread's last run.
+    pub(super) static TABLE_SLOTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn explore<M, P, S>(
+    ctx: Ctx<M, S>,
+    initial: Simulation<M>,
+    config: &ExploreConfig,
+    probe: &P,
+    encoder: &StateEncoder<M>,
+    profiler: Option<&Profiler>,
+) -> Result<(Option<StateGraph<M>>, ExploreStats), ExploreError>
+where
+    M: Machine + Eq + Hash,
+    P: Probe,
+    S: CodeStore,
+{
     let mut initial = initial;
     initial.clear_trace();
-
-    // The spill location packs a 5-bit worker index.
-    let threads = if config.spill {
-        threads.min(32)
-    } else {
-        threads
-    };
 
     if P::ENABLED {
         probe.span_open(Span::Explore, 0);
     }
 
-    let table = FpTable::new(config.max_states);
-    let arena_len = table.limit();
-    let spill = if config.spill {
-        Some(
-            SpillStore::new(threads, arena_len, SPILL_LRU_BUDGET)
-                .expect("spill temp files must be creatable"),
-        )
-    } else {
-        None
-    };
-    let codes = if config.spill {
-        None
-    } else {
-        let mut arena = Vec::with_capacity(arena_len);
-        arena.resize_with(arena_len, OnceLock::new);
-        Some(arena.into_boxed_slice())
-    };
-    let ctx = Ctx {
-        bloom: Bloom::new(table.limit()),
-        table,
-        codes,
-        spill,
-        store: collect_graph.then(StateStore::new),
-        queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        pending: AtomicUsize::new(0),
-        aborted: AtomicBool::new(false),
-        max_depth: AtomicU64::new(0),
-        crashes: config.crashes,
-        por: config.por,
-    };
-
-    let (code, _) = encoder.encode(&initial);
+    let mut encoding = Encoding::new::<P>(encoder);
+    let code = encoding.encode(&initial);
+    if P::ENABLED {
+        encoding.report(probe, 0);
+    }
     let fp = fp128(&code);
-    match ctx.intern(0, fp, &code) {
+    match ctx.table.batch().intern(0, fp, code, || false) {
         TableProbe::Fresh(id) => debug_assert_eq!(id, 0, "first interned state is state 0"),
         TableProbe::Known(_) | TableProbe::Aborted => {
             unreachable!("the dedup table starts empty and nothing can abort yet")
         }
         TableProbe::Limit => {
             if P::ENABLED {
-                report_totals::<M, P>(probe, 0, 0, &[]);
+                report_totals(probe, 0, 0, &[]);
                 probe.span_close(Span::Explore, 0, 0);
             }
             return Err(ExploreError::StateLimitExceeded {
@@ -577,23 +696,32 @@ where
         .push_back(WorkItem {
             id: 0,
             depth: 0,
+            parent: None,
             sim: initial,
         });
 
-    let joins: Vec<std::thread::Result<WorkerOut<M>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|i| {
-                let ctx = &ctx;
-                s.spawn(move || worker(i, ctx, probe, encoder, profiler))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(std::thread::ScopedJoinHandle::join)
-            .collect()
-    });
+    let threads = ctx.queues.len();
+    let joins: Vec<std::thread::Result<WorkerOut>> = if threads == 1 {
+        // The lone worker runs here: a run pays no thread spawn.
+        vec![std::panic::catch_unwind(AssertUnwindSafe(|| {
+            worker(0, &ctx, probe, encoder, profiler)
+        }))]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|i| {
+                    let ctx = &ctx;
+                    s.spawn(move || worker(i, ctx, probe, encoder, profiler))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(std::thread::ScopedJoinHandle::join)
+                .collect()
+        })
+    };
     let panicked = joins.iter().any(std::thread::Result::is_err);
-    let outs: Vec<WorkerOut<M>> = joins.into_iter().filter_map(Result::ok).collect();
+    let outs: Vec<WorkerOut> = joins.into_iter().filter_map(Result::ok).collect();
 
     let total = ctx.table.len();
     let edge_total: u64 = outs.iter().map(|o| o.edge_total).sum();
@@ -606,23 +734,7 @@ where
 
     if P::ENABLED {
         report_totals(probe, total as u64, edge_total, &outs);
-        if let Some(spill) = &ctx.spill {
-            probe.counter(
-                Metric::SpillBytes,
-                0,
-                spill.counters.bytes_spilled.load(Ordering::Relaxed),
-            );
-            probe.counter(
-                Metric::SpillReads,
-                0,
-                spill.counters.disk_reads.load(Ordering::Relaxed),
-            );
-            probe.counter(
-                Metric::DedupUnverified,
-                0,
-                spill.counters.unverified.load(Ordering::Relaxed),
-            );
-        }
+        ctx.table.store().report(probe);
         probe.gauge(Metric::ExploreFrontier, 0, 0);
         probe.gauge(
             Metric::ExploreDepth,
@@ -631,6 +743,8 @@ where
         );
         probe.span_close(Span::Explore, 0, total as u64);
     }
+    #[cfg(test)]
+    TABLE_SLOTS.set(ctx.table.capacity());
 
     if panicked {
         return Err(ExploreError::WorkerPanicked);
@@ -640,40 +754,18 @@ where
             limit: config.max_states,
         });
     }
-
-    if !collect_graph {
-        return Ok((None, stats));
-    }
-
-    let mut edges: Vec<Vec<Edge<M::Event>>> = Vec::new();
-    edges.resize_with(total, Vec::new);
-    let mut parents: Vec<Option<(usize, usize, bool)>> = vec![None; total];
-    for out in outs {
-        for (id, e) in out.edges {
-            edges[id as usize] = e;
-        }
-        for (child, parent, proc, crash) in out.parents {
-            parents[child as usize] = Some((parent as usize, proc as usize, crash));
-        }
-    }
-    let states = ctx.store.expect("graph mode").into_states(total);
-
-    Ok((
-        Some(StateGraph {
-            states,
-            edges,
-            parents,
-        }),
-        stats,
-    ))
+    let graph = ctx
+        .sink
+        .map(|sink| sink.into_inner().expect("sink lock").into_graph(total));
+    Ok((graph, stats))
 }
 
 /// Emits the counter remainders the workers did not flush themselves:
-/// the initial interned state (discovered by `run_impl`, not by any
+/// the initial interned state (discovered by `explore`, not by any
 /// worker) and, on an aborted run, ids assigned past the flushed counts.
 /// Dedup hits are fully flushed per worker (keyed by worker index), so
 /// only states and edges can have a remainder.
-fn report_totals<M: Machine, P: Probe>(probe: &P, states: u64, edges: u64, outs: &[WorkerOut<M>]) {
+fn report_totals<P: Probe>(probe: &P, states: u64, edges: u64, outs: &[WorkerOut]) {
     let flushed_states: u64 = outs.iter().map(|o| o.fresh).sum();
     let flushed_edges: u64 = outs.iter().map(|o| o.edge_total).sum();
     probe.counter(

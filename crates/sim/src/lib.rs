@@ -17,8 +17,8 @@
 //! * [`explore`] — exhaustive explicit-state model checking behind the
 //!   [`explore::Explorer`] builder, with safety predicates, SCC-based
 //!   fair-livelock detection (how experiment E1 proves the odd/even
-//!   dichotomy of Theorem 3.1), and an optional breadth-parallel engine
-//!   for large state spaces.
+//!   dichotomy of Theorem 3.1), on one worker or many for large state
+//!   spaces.
 //! * [`obstruction`] — the obstruction-freedom checker: from every reachable
 //!   state, every process running alone must terminate within a bound.
 //! * [`symmetry`] — the rotation-symmetry invariant behind Theorem 3.4's

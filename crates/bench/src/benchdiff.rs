@@ -490,6 +490,28 @@ mod tests {
         assert!(diff(&[], &after, &floor_unmatched).regressed());
     }
 
+    /// One suffix gates every row it matches, not just the first: the
+    /// E19 `throughput` floor covers the `off`, `por` and `por_spill` rows.
+    #[test]
+    fn require_floor_gates_every_matching_row() {
+        let rows = |last: f64| {
+            vec![
+                metric("consensus_n3_r2_off_t4_throughput", 5000.0, "ops_per_s"),
+                metric("consensus_n3_r2_por_t4_throughput", 4000.0, "ops_per_s"),
+                metric("consensus_n3_r2_por_spill_t4_throughput", last, "ops_per_s"),
+            ]
+        };
+        let floor = Thresholds {
+            allow_missing: true,
+            require: vec![("throughput".to_string(), 1000.0)],
+            ..Thresholds::default()
+        };
+        assert!(!diff(&[], &rows(3000.0), &floor).regressed());
+        let d = diff(&[], &rows(500.0), &floor);
+        assert_eq!(d.regressions(), 1, "{}", render(&d));
+        assert!(d.rows[0].key.ends_with("por_spill_t4_throughput"));
+    }
+
     #[test]
     fn roundtrips_through_benchjson_writer() {
         let written = to_jsonl(&[

@@ -33,23 +33,19 @@ fn usage() -> ExitCode {
          [--registers N] [--shift N] [--max-states N] [--threads N] [--crashes] [--por] \
          [--spill] [--dot FILE]\n\
          \x20      check explore [--n N] [--registers N] [--threads N] [--max-states N] \
-         [--json FILE] [--min-speedup X] [--stream FILE] [--stream-interval-ms N]   \
+         [--json FILE] [--stream FILE] [--stream-interval-ms N]   \
          parallel-explorer scaling benchmark (E14); --stream tails live schema-v2 \
          deltas + progress to FILE\n\
          \x20      check explore --symmetry <off|registers|full> [--n N] [--registers N] \
-         [--threads N] [--max-states N] [--json FILE] [--min-reduction X] [--stream FILE]   \
+         [--threads N] [--max-states N] [--json FILE] [--stream FILE]   \
          symmetry-reduction benchmark (E16) with verdict parity\n\
          \x20      check explore --scale [--quick] [--threads N] [--max-states N] \
-         [--json FILE] [--min-throughput X] [--stream FILE]   stats-mode scale run (E19) \
+         [--json FILE] [--stream FILE]   stats-mode scale run (E19) \
          with POR + disk spill; --quick runs the CI-sized space with the exact-count anchor\n\
          \x20      check profile [--full] [--threads N] [--max-states N] [--entries N] \
          [--flamegraph FILE] [--json FILE] [--min-coverage X]   wall-clock phase profiles \
          (E18): explorer workers + runtime driver, collapsed-stack flamegraph export, \
          self-time coverage gate (default 0.7)\n\
-         \x20      check verify-cache [--threads N] [--max-states N] [--cache-dir DIR] \
-         [--invalidate] [--json FILE] [--min-speedup X]   proof-carrying reachability cache \
-         (E20): cold explore + certify vs warm certificate replay across the seven families, \
-         parity hard-asserted; --invalidate clears the store first (the cold leg)\n\
          \x20      check bench-diff BEFORE AFTER [--max-time-ratio X] [--max-drop-ratio X] \
          [--allow-missing] [--require NAME=FLOOR] [--exact-counts] [--reduced-marker SEG]   \
          compare two bench JSONL files (reduction-mode runs compare states/edges \
@@ -391,12 +387,6 @@ fn obs_main(raw: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `check explore --symmetry MODE` — the symmetry-reduction benchmark
-/// (experiment E16): explore the symmetric Figure 2 consensus space
-/// under all three symmetry modes at `threads` threads (verdict parity
-/// is hard-asserted inside [`e16_symmetry::rows`]), print the reduction
-/// table, and enforce the stored-state reduction floor of the selected
-/// mode (`--min-reduction`).
 /// Live-stream plumbing shared by `check explore` and `check stress`:
 /// a probe + profiler pair with a background [`StreamExporter`] tailing
 /// schema-v2 deltas and progress lines to the requested file.
@@ -460,7 +450,11 @@ impl LiveStream {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// `check explore --symmetry MODE` — the symmetry-reduction benchmark
+/// (experiment E16): explore the symmetric Figure 2 consensus space
+/// under all three symmetry modes at `threads` threads (verdict parity
+/// is hard-asserted inside [`e16_symmetry::rows`]) and print the
+/// reduction table; `mode` is recorded in the JSONL meta line.
 fn explore_symmetry_main(
     mode: SymmetryMode,
     n: usize,
@@ -468,7 +462,6 @@ fn explore_symmetry_main(
     threads: usize,
     max_states: usize,
     json_path: Option<&String>,
-    min_reduction: Option<f64>,
     stream: Option<(&str, u64)>,
 ) -> ExitCode {
     use anonreg_bench::live::Instruments;
@@ -509,10 +502,6 @@ fn explore_symmetry_main(
     }
     println!("{}", e16_symmetry::render(&rows));
     println!("verdict parity across off/registers/full: ok");
-    let reduction = rows
-        .iter()
-        .find(|r| r.mode == mode)
-        .map_or(1.0, |r| r.reduction_over(&rows[0]));
 
     if let Some(path) = json_path {
         let mut out = meta_line(
@@ -533,13 +522,6 @@ fn explore_symmetry_main(
         }
         println!("metrics written to {path} (validate with `check obs validate {path}`)");
     }
-    if let Some(floor) = min_reduction {
-        if reduction < floor {
-            eprintln!("{mode} reduction {reduction:.2}x is below the required {floor:.2}x");
-            return ExitCode::FAILURE;
-        }
-        println!("{mode} reduction {reduction:.2}x meets the required {floor:.2}x");
-    }
     ExitCode::SUCCESS
 }
 
@@ -548,14 +530,12 @@ fn explore_symmetry_main(
 /// (fully loaded m = 3 ring, m = 4 ring, consensus n = 4) under `por`
 /// and `por_spill` configurations, or with `--quick` the CI-sized
 /// consensus space with the exact-count `off` anchor included; prints
-/// the throughput table, optionally exports JSONL (`--json`) and
-/// enforces a states/s floor (`--min-throughput`).
+/// the throughput table and optionally exports JSONL (`--json`).
 fn explore_scale_main(
     quick: bool,
     threads: usize,
     max_states: usize,
     json_path: Option<&String>,
-    min_throughput: Option<f64>,
     stream: Option<(&str, u64)>,
 ) -> ExitCode {
     use anonreg_bench::e16_symmetry::Workload;
@@ -627,17 +607,6 @@ fn explore_scale_main(
         }
         println!("metrics written to {path} (validate with `check obs validate {path}`)");
     }
-    if let Some(floor) = min_throughput {
-        let slowest = rows
-            .iter()
-            .map(e19_scale::Row::throughput)
-            .fold(f64::INFINITY, f64::min);
-        if slowest < floor {
-            eprintln!("throughput {slowest:.0} states/s is below the required {floor:.0}");
-            return ExitCode::FAILURE;
-        }
-        println!("throughput {slowest:.0} states/s meets the required {floor:.0}");
-    }
     ExitCode::SUCCESS
 }
 
@@ -645,8 +614,8 @@ fn explore_scale_main(
 /// E14): explore the Figure 2 consensus space once at 1 thread and once at
 /// `--threads`, refuse to report a speedup unless both runs produce the
 /// exact same state and edge counts, print the scaling table, and
-/// optionally export schema-v1 JSONL (`--json`) or enforce a wall-clock
-/// speedup floor (`--min-speedup`, meant for CI on multi-core hardware).
+/// optionally export schema-v1 JSONL (`--json`). Floors on the exported
+/// metrics are enforced by `check bench-diff --require`.
 /// With `--symmetry`, runs the E16 symmetry-reduction flow instead.
 fn explore_main(raw: &[String]) -> ExitCode {
     use anonreg_bench::{benchjson, e14_scaling};
@@ -658,10 +627,7 @@ fn explore_main(raw: &[String]) -> ExitCode {
     let mut threads = 4usize;
     let mut max_states: Option<usize> = None;
     let mut json_path: Option<String> = None;
-    let mut min_speedup: Option<f64> = None;
     let mut symmetry: Option<SymmetryMode> = None;
-    let mut min_reduction: Option<f64> = None;
-    let mut min_throughput: Option<f64> = None;
     let mut scale = false;
     let mut quick = false;
     let mut stream_path: Option<String> = None;
@@ -690,24 +656,6 @@ fn explore_main(raw: &[String]) -> ExitCode {
                     return usage();
                 };
                 stream_interval_ms = v;
-            }
-            "--min-speedup" => {
-                let Ok(v) = value.parse::<f64>() else {
-                    return usage();
-                };
-                min_speedup = Some(v);
-            }
-            "--min-reduction" => {
-                let Ok(v) = value.parse::<f64>() else {
-                    return usage();
-                };
-                min_reduction = Some(v);
-            }
-            "--min-throughput" => {
-                let Ok(v) = value.parse::<f64>() else {
-                    return usage();
-                };
-                min_throughput = Some(v);
             }
             "--symmetry" => {
                 symmetry = Some(match value.as_str() {
@@ -739,7 +687,6 @@ fn explore_main(raw: &[String]) -> ExitCode {
             // default is an order of magnitude past the E14/E16 cap.
             max_states.unwrap_or(100_000_000),
             json_path.as_ref(),
-            min_throughput,
             stream_path.as_deref().map(|p| (p, stream_interval_ms)),
         );
     }
@@ -752,16 +699,11 @@ fn explore_main(raw: &[String]) -> ExitCode {
             threads,
             max_states,
             json_path.as_ref(),
-            min_reduction,
             stream_path.as_deref().map(|p| (p, stream_interval_ms)),
         );
     }
-    if min_reduction.is_some() {
-        eprintln!("--min-reduction requires --symmetry");
-        return usage();
-    }
-    if min_throughput.is_some() || quick {
-        eprintln!("--min-throughput/--quick require --scale");
+    if quick {
+        eprintln!("--quick requires --scale");
         return usage();
     }
 
@@ -794,7 +736,6 @@ fn explore_main(raw: &[String]) -> ExitCode {
         }
     }
     println!("{}", e14_scaling::render(&rows));
-    let speedup = rows.last().map_or(1.0, |r| r.speedup_over(&rows[0]));
 
     if let Some(path) = &json_path {
         let mut out = meta_line(
@@ -813,13 +754,6 @@ fn explore_main(raw: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!("metrics written to {path} (validate with `check obs validate {path}`)");
-    }
-    if let Some(floor) = min_speedup {
-        if speedup < floor {
-            eprintln!("speedup {speedup:.2}x is below the required {floor:.2}x");
-            return ExitCode::FAILURE;
-        }
-        println!("speedup {speedup:.2}x meets the required {floor:.2}x");
     }
     ExitCode::SUCCESS
 }
@@ -1639,133 +1573,6 @@ where
     }
 }
 
-/// `check verify-cache` — experiment E20: run the seven verified
-/// families through the proof-carrying cache, cold-explore-and-certify
-/// vs warm-replay, with cold/warm parity hard-asserted. `--invalidate`
-/// clears the store first (the cold leg); without it a previously
-/// populated store answers every family by replay (the warm leg — the
-/// summary line reports how many families were warm on their *first*
-/// run). `--json` exports schema-v1 JSONL including a `warm_first_runs`
-/// summary metric, and `--min-speedup` enforces a floor on the `mutex`
-/// row's cold/warm ratio (meaningful with `--invalidate`).
-fn verify_cache_main(raw: &[String]) -> ExitCode {
-    use anonreg_bench::{benchjson, e20_incremental};
-    use anonreg_obs::schema::meta_line;
-    use anonreg_obs::Json;
-
-    let mut threads = 1usize;
-    let mut max_states = 2_000_000usize;
-    let mut cache_dir: Option<String> = None;
-    let mut invalidate = false;
-    let mut json_path: Option<String> = None;
-    let mut min_speedup: Option<f64> = None;
-    let mut it = raw.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => threads = n,
-                None => return usage(),
-            },
-            "--max-states" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => max_states = n,
-                None => return usage(),
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => cache_dir = Some(dir.clone()),
-                None => return usage(),
-            },
-            "--invalidate" => invalidate = true,
-            "--json" => match it.next() {
-                Some(path) => json_path = Some(path.clone()),
-                None => return usage(),
-            },
-            "--min-speedup" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(x) => min_speedup = Some(x),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let store = match cache_dir {
-        Some(dir) => match CacheStore::new(&dir) {
-            Ok(store) => store,
-            Err(e) => {
-                eprintln!("cannot open cache dir {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => CacheStore::from_env(),
-    };
-    println!(
-        "incremental verification (E20): seven families through {}, {threads} thread(s), \
-         max {max_states} states{}",
-        store.dir().display(),
-        if cache_disabled() {
-            " [ANONREG_NO_CACHE set: replay disabled]"
-        } else {
-            ""
-        }
-    );
-    if invalidate {
-        let removed = store.clear();
-        println!("invalidated {removed} stored certificate(s)");
-    }
-    let rows = match e20_incremental::rows(&store, threads, max_states) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("exploration failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{}", e20_incremental::render(&rows));
-    println!("cold/warm count + verdict parity across all seven families: ok");
-    let warm_first = rows.iter().filter(|r| r.cold_hit).count();
-    println!(
-        "{warm_first}/{} families answered from the cache on their first run",
-        rows.len()
-    );
-
-    if let Some(path) = &json_path {
-        let mut out = meta_line(
-            "check-verify-cache",
-            &[
-                ("threads", Json::U64(threads as u64)),
-                ("max_states", Json::U64(max_states as u64)),
-                ("invalidate", Json::Bool(invalidate)),
-                ("cache_dir", Json::Str(store.dir().display().to_string())),
-            ],
-        )
-        .render();
-        out.push('\n');
-        let mut metrics = e20_incremental::metrics(&rows);
-        metrics.push(benchjson::BenchMetric::new(
-            "E20",
-            "all",
-            "warm_first_runs".to_string(),
-            warm_first as f64,
-            "runs",
-        ));
-        out.push_str(&benchjson::to_jsonl(&metrics));
-        if let Err(e) = std::fs::write(path, &out) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("metrics written to {path} (validate with `check obs validate {path}`)");
-    }
-    if let Some(floor) = min_speedup {
-        let mutex = rows
-            .iter()
-            .find(|r| r.family == "mutex")
-            .map_or(0.0, e20_incremental::Row::speedup);
-        if mutex < floor {
-            eprintln!("mutex warm-replay speedup {mutex:.2}x is below the required {floor:.2}x");
-            return ExitCode::FAILURE;
-        }
-        println!("mutex warm-replay speedup {mutex:.2}x meets the required {floor:.2}x");
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(kind) = raw.first().cloned() else {
@@ -1791,9 +1598,6 @@ fn main() -> ExitCode {
     }
     if kind == "bench-diff" {
         return bench_diff_main(&raw[1..]);
-    }
-    if kind == "verify-cache" {
-        return verify_cache_main(&raw[1..]);
     }
     let Some(args) = parse(&raw[1..]) else {
         return usage();

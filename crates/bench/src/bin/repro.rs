@@ -18,8 +18,8 @@ use std::time::Instant;
 use anonreg_bench::benchjson::BenchMetric;
 use anonreg_bench::{
     e10_solo_steps, e11_hybrid, e12_starvation, e13_ordered, e14_scaling, e15_faults, e16_symmetry,
-    e17_ordering, e18_profile, e19_scale, e1_parity, e20_incremental, e2_ring, e3_consensus,
-    e4_consensus_space, e5_renaming, e6_renaming_space, e7_unknown_n, e8_election, e9_threads,
+    e17_ordering, e18_profile, e19_scale, e1_parity, e2_ring, e3_consensus, e4_consensus_space,
+    e5_renaming, e6_renaming_space, e7_unknown_n, e8_election, e9_threads,
 };
 use anonreg_obs::schema::meta_line;
 use anonreg_obs::Json;
@@ -55,7 +55,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--quick] [--json FILE] [e1 .. e20]\n\
+                    "usage: repro [--quick] [--json FILE] [e1 .. e19]\n\
                      Regenerates the experiment tables of the PODC'17\n\
                      'Coordination Without Prior Agreement' reproduction.\n\
                      --json FILE also writes every metric as schema-v1\n\
@@ -274,25 +274,6 @@ fn main() {
             let rows = e19_scale::rows(&workloads, with_baseline, 4, 100_000_000)
                 .expect("scale workload exceeded its state limit");
             (e19_scale::render(&rows), e19_scale::metrics(&rows))
-        },
-    );
-
-    section(
-        "e20",
-        "incremental verification: cold explore vs warm certificate replay",
-        &|| {
-            let dir =
-                std::env::temp_dir().join(format!("anonreg-repro-e20-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let store =
-                anonreg_sim::prelude::CacheStore::new(&dir).expect("cache dir is creatable");
-            let rows = e20_incremental::rows(&store, 1, 8_000_000)
-                .expect("cache workload exceeded its state limit");
-            let _ = std::fs::remove_dir_all(&dir);
-            (
-                e20_incremental::render(&rows),
-                e20_incremental::metrics(&rows),
-            )
         },
     );
 

@@ -25,7 +25,6 @@
 //! | [`e17_ordering`] | E17 | §2 atomic-register model — vector-clock sanitizer certifies minimal memory orderings per family |
 //! | [`e18_profile`] | E18 | §2 operations on the clock — per-worker wall-clock phase profiles of exploration and the runtime driver |
 //! | [`e19_scale`] | E19 | model checking at scale — stats-mode exploration with POR and disk spill |
-//! | [`e20_incremental`] | E20 | proof-carrying exploration — cold explore vs warm certificate replay across the seven families |
 //!
 //! `cargo run --release -p anonreg-bench --bin repro` prints them all; the
 //! Criterion benches in `benches/` time the underlying machinery.
@@ -44,7 +43,6 @@ pub mod e17_ordering;
 pub mod e18_profile;
 pub mod e19_scale;
 pub mod e1_parity;
-pub mod e20_incremental;
 pub mod e2_ring;
 pub mod e3_consensus;
 pub mod e4_consensus_space;

@@ -28,9 +28,6 @@
 //! * [`canon`] — orbit canonicalization: byte-stable state encodings,
 //!   first-occurrence identifier renumbering and the view-compatible
 //!   permutation group, used by the explorer's symmetry reduction.
-//! * [`structural`] — stable 128-bit structural keys over machines,
-//!   configurations and exploration options, used by the proof-carrying
-//!   reachability cache to decide when a certificate is still valid.
 //!
 //! # Example
 //!
@@ -79,7 +76,6 @@ mod view;
 pub mod canon;
 pub mod fingerprint;
 pub mod rng;
-pub mod structural;
 pub mod trace;
 
 pub use canon::SymmetryMode;

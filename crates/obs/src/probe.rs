@@ -108,13 +108,6 @@ pub enum Metric {
     /// candidate's code was still buffered in another worker's unflushed
     /// spill chunk.
     DedupUnverified,
-    /// Explorations served from a valid reachability certificate instead
-    /// of a frontier search (one count per warm replay).
-    CacheHit,
-    /// Total nanoseconds a certificate replay spent streaming and
-    /// re-validating the recorded graph, same keying as
-    /// [`Metric::CacheHit`].
-    CacheReplayTime,
 }
 
 impl Metric {
@@ -150,8 +143,6 @@ impl Metric {
             Metric::SpillBytes => "spill_bytes",
             Metric::SpillReads => "spill_reads",
             Metric::DedupUnverified => "dedup_unverified",
-            Metric::CacheHit => "cache_hit",
-            Metric::CacheReplayTime => "cache_replay_time",
         }
     }
 }
@@ -663,8 +654,6 @@ mod tests {
         assert_eq!(Metric::SpillBytes.name(), "spill_bytes");
         assert_eq!(Metric::SpillReads.name(), "spill_reads");
         assert_eq!(Metric::DedupUnverified.name(), "dedup_unverified");
-        assert_eq!(Metric::CacheHit.name(), "cache_hit");
-        assert_eq!(Metric::CacheReplayTime.name(), "cache_replay_time");
         assert_eq!(Span::SoloWindow.name(), "solo_window");
         assert_eq!(Span::CoverBlock.name(), "cover_block");
         assert_eq!(Span::ExploreWorker.name(), "explore_worker");

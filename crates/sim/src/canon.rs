@@ -254,8 +254,7 @@ where
 
 /// Plain (identity) encoding: registers in physical order, then slots in
 /// index order. Views are omitted — they are fixed per slot for the whole
-/// exploration, so they cannot distinguish states within one run (the
-/// explorer's structural hash therefore folds the views in separately).
+/// exploration, so they cannot distinguish states within one run.
 pub(crate) fn encode_plain<M: Machine + Eq + Hash>(sim: &Simulation<M>) -> Vec<u8> {
     let n = sim.process_count();
     let mut sink = ByteSink::new();

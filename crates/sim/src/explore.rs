@@ -48,19 +48,14 @@
 
 use std::fmt;
 use std::hash::Hash;
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
-use anonreg_model::fingerprint::Fp128;
-use anonreg_model::structural::StructuralHasher;
 use anonreg_model::{Machine, PidMap, SymmetryMode, View};
-use anonreg_obs::{Metric, NoopProbe, Probe, Profiler};
+use anonreg_obs::{NoopProbe, Probe, Profiler};
 
 use crate::canon::StateEncoder;
 use crate::Simulation;
 
-pub mod cert;
 mod dedup;
 mod par;
 
@@ -130,13 +125,6 @@ pub enum ExploreError {
     /// needs. [`SymmetryMode::Registers`] keeps slots pinned and
     /// composes soundly (see [`Explorer::por`]).
     PorWithFullSymmetry,
-    /// Emitting or re-reading a reachability certificate failed after
-    /// the exploration itself succeeded. The message carries the
-    /// underlying [`anonreg_cache::CertError`] or IO failure.
-    Certificate {
-        /// Human-readable cause.
-        message: String,
-    },
 }
 
 impl fmt::Display for ExploreError {
@@ -164,9 +152,6 @@ impl fmt::Display for ExploreError {
                      match its siblings'); SymmetryMode::Registers composes \
                      soundly"
                 )
-            }
-            ExploreError::Certificate { message } => {
-                write!(f, "certificate error: {message}")
             }
         }
     }
@@ -230,12 +215,6 @@ pub struct Explorer<'p, M: Machine, P: Probe = NoopProbe> {
     probe: &'p P,
     encoder: StateEncoder<M>,
     profiler: Option<Arc<Profiler>>,
-    /// Where [`Explorer::run`] writes a reachability certificate, if
-    /// anywhere.
-    certify: Option<PathBuf>,
-    /// Named verdict predicates evaluated on the finished graph and
-    /// recorded in the certificate.
-    verdicts: Vec<(String, cert::VerdictFn<M>)>,
 }
 
 /// The probe target for unprobed explorations.
@@ -256,8 +235,6 @@ where
             probe: &SILENT,
             encoder: StateEncoder::plain(),
             profiler: None,
-            certify: None,
-            verdicts: Vec::new(),
         }
     }
 }
@@ -384,8 +361,6 @@ where
             probe,
             encoder: self.encoder,
             profiler: self.profiler,
-            certify: self.certify,
-            verdicts: self.verdicts,
         }
     }
 
@@ -433,81 +408,6 @@ where
         self
     }
 
-    /// Also writes a reachability certificate to `path` when the
-    /// exploration completes (see [`Explorer::run`] and the
-    /// `anonreg-cache` crate). The certificate is keyed by
-    /// [`Explorer::structural_hash`] and records the canonical state
-    /// set, the edge multiset, and every [`Explorer::verdict`]'s value
-    /// on the finished graph.
-    pub fn certify(mut self, path: impl Into<PathBuf>) -> Self {
-        self.certify = Some(path.into());
-        self
-    }
-
-    /// Registers a named verdict predicate — e.g. `"safety"` = "no
-    /// reachable state violates mutual exclusion" — to be evaluated on
-    /// the finished [`StateGraph`] and pinned into the certificate, so a
-    /// warm [`Explorer::replay_certificate`] can return it without
-    /// re-running the analysis.
-    pub fn verdict(
-        mut self,
-        name: impl Into<String>,
-        pred: impl Fn(&StateGraph<M>) -> bool + 'static,
-    ) -> Self {
-        self.verdicts.push((name.into(), Box::new(pred)));
-        self
-    }
-
-    /// The 128-bit structural key of this verification problem: the
-    /// machine type and the crate version it was compiled under, the
-    /// initial configuration (registers, machine states, per-process
-    /// views), the exploration limits, the failure model, the symmetry
-    /// mode and the registered verdict names — everything that can
-    /// change the reachable set or a verdict drawn from it. Thread
-    /// count and spilling are deliberately excluded: they change *how*
-    /// the same graph is enumerated, never *what* it is.
-    ///
-    /// The machine's transition function is code, not data, so the key
-    /// can only pin its closest stable proxies: the machine's
-    /// [`type_name`](std::any::type_name) (two types whose initial
-    /// fields encode identically still get distinct keys) and this
-    /// crate's `CARGO_PKG_VERSION`. Editing transition logic *without*
-    /// bumping the crate version is invisible to the key — after such
-    /// an edit, invalidate persisted stores by hand
-    /// (`check verify-cache --invalidate`,
-    /// [`anonreg_cache::CacheStore::clear`], or point
-    /// `ANONREG_CACHE_DIR` somewhere fresh).
-    #[must_use]
-    pub fn structural_hash(&self) -> Fp128 {
-        let mut hasher = StructuralHasher::new("anonreg-cert-v2")
-            .component("machine", std::any::type_name::<M>())
-            .component("code_version", env!("CARGO_PKG_VERSION"))
-            .raw("initial", &crate::canon::encode_plain(&self.initial));
-        // The plain encoding omits views (constant within one run, so
-        // they never distinguish states) — but across runs a changed
-        // view changes reachability, so fold them in here.
-        for i in 0..self.initial.process_count() {
-            hasher = hasher.component("view", self.initial.view(i));
-        }
-        let mode = match self.encoder.mode() {
-            SymmetryMode::Off => "off",
-            SymmetryMode::Registers => "registers",
-            SymmetryMode::Full => "full",
-        };
-        hasher = hasher
-            .component("max_states", &(self.config.max_states as u64))
-            .component("crashes", &self.config.crashes)
-            .component("por", &self.config.por)
-            .component("symmetry", mode);
-        // A certificate answers exactly the verdict set it was asked;
-        // registering, dropping or renaming a verdict is a different
-        // question and must miss the cache.
-        for (name, _) in &self.verdicts {
-            hasher = hasher.component("verdict", name.as_str());
-        }
-        hasher.finish()
-    }
-
     /// Runs the exploration and returns the complete reachable
     /// [`StateGraph`].
     ///
@@ -516,87 +416,19 @@ where
     /// Returns [`ExploreError::StateLimitExceeded`] if the reachable
     /// state space is larger than the configured `max_states`. Counters
     /// emitted up to that point are still in the probe, so a budget-blown
-    /// exploration is still measurable. With [`Explorer::certify`],
-    /// failures while writing the certificate surface as
-    /// [`ExploreError::Certificate`].
-    pub fn run(mut self) -> Result<StateGraph<M>, ExploreError> {
+    /// exploration is still measurable.
+    pub fn run(self) -> Result<StateGraph<M>, ExploreError> {
         let threads = self.validate()?;
-        let emit = self
-            .certify
-            .take()
-            .map(|path| (path, self.structural_hash()));
-        let verdicts = std::mem::take(&mut self.verdicts);
-        let encoder = self.encoder;
         let (graph, _) = par::run(
             self.initial,
             &self.config,
             self.probe,
             threads,
-            &encoder,
+            &self.encoder,
             self.profiler.as_deref(),
             true,
         )?;
-        let graph = graph.expect("graph mode materialises a graph");
-        if let Some((path, structural)) = emit {
-            cert::write_graph(&graph, &encoder, structural, &verdicts, &path).map_err(|e| {
-                ExploreError::Certificate {
-                    message: e.to_string(),
-                }
-            })?;
-        }
-        Ok(graph)
-    }
-
-    /// Re-validates the certificate at `path` against this explorer's
-    /// configuration **without exploring**: no frontier, no dedup table —
-    /// one streaming membership/closure pass over the recorded graph
-    /// (see [`anonreg_cache::replay`]), in memory bounded by two state
-    /// codes. On success the probe receives one `cache_hit` count and
-    /// the replay's wall-clock nanoseconds under `cache_replay_time`.
-    ///
-    /// # Errors
-    ///
-    /// [`anonreg_cache::CertError::Stale`] when the certificate pins a
-    /// different structural key than [`Explorer::structural_hash`] — the
-    /// machines, limits, symmetry mode or verdict set changed since it
-    /// was written — [`anonreg_cache::CertError::VerdictMismatch`] when
-    /// an intact certificate with the right key records a different
-    /// verdict set than the one registered here (possible only through
-    /// a key collision or a tampered store, since the key covers the
-    /// verdict names), and the other [`anonreg_cache::CertError`]
-    /// variants for damaged or unreadable files.
-    pub fn replay_certificate(
-        mut self,
-        path: &std::path::Path,
-    ) -> Result<cert::ReplayReport, anonreg_cache::CertError> {
-        let expected = self.structural_hash();
-        self.initial.clear_trace();
-        let initial_code = self.encoder.encode(&self.initial).0;
-        let start = Instant::now();
-        let summary = anonreg_cache::replay(path, expected, &initial_code)?;
-        if !summary
-            .verdicts
-            .iter()
-            .map(|(name, _)| name.as_str())
-            .eq(self.verdicts.iter().map(|(name, _)| name.as_str()))
-        {
-            return Err(anonreg_cache::CertError::VerdictMismatch {
-                recorded: summary.verdicts.into_iter().map(|(name, _)| name).collect(),
-                registered: self.verdicts.iter().map(|(name, _)| name.clone()).collect(),
-            });
-        }
-        let elapsed = start.elapsed();
-        if P::ENABLED {
-            self.probe.counter(Metric::CacheHit, 0, 1);
-            self.probe
-                .counter(Metric::CacheReplayTime, 0, elapsed.as_nanos() as u64);
-        }
-        Ok(cert::ReplayReport {
-            states: summary.states,
-            edges: summary.edges,
-            verdicts: summary.verdicts,
-            elapsed,
-        })
+        Ok(graph.expect("graph mode materialises a graph"))
     }
 
     /// Runs the exploration for its **counts only** — states, edges,
@@ -1041,7 +873,7 @@ fn tarjan<E>(n: usize, edges: &[Vec<Edge<E>>]) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use anonreg_model::{Pid, Step, View};
-    use anonreg_obs::Span;
+    use anonreg_obs::{Metric, Span};
     use std::collections::HashMap;
 
     /// Two-phase toy: writes its pid, reads, halts. Tiny state space.
@@ -1796,349 +1628,6 @@ mod tests {
         let err = ExploreError::PorWithFullSymmetry;
         assert!(err.to_string().contains("SymmetryMode::Full"));
         assert!(err.to_string().contains("Registers"));
-    }
-
-    fn cert_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "anonreg-explore-cert-{}-{name}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    /// Certify → replay round-trip: the replay's counts and verdicts
-    /// match the explored graph, with zero exploration on the warm path.
-    #[test]
-    fn certificate_round_trips_counts_and_verdicts() {
-        let path = cert_dir("roundtrip").join("toys.cert");
-        let graph = Explorer::new(two_toys())
-            .certify(&path)
-            .verdict("terminates", |g: &StateGraph<Toy>| {
-                g.find_state(Simulation::all_halted).is_some()
-            })
-            .verdict("livelock", |g: &StateGraph<Toy>| {
-                g.find_fair_livelock(|_| true, |_| false).is_some()
-            })
-            .run()
-            .unwrap();
-        // The replaying explorer must register the same verdict set —
-        // the names are part of the structural key (the predicates are
-        // not evaluated on a warm path, so any bodies do).
-        let report = Explorer::new(two_toys())
-            .verdict("terminates", |_: &StateGraph<Toy>| false)
-            .verdict("livelock", |_: &StateGraph<Toy>| false)
-            .replay_certificate(&path)
-            .unwrap();
-        assert_eq!(report.states, graph.state_count() as u64);
-        assert_eq!(report.edges, graph.edge_count() as u64);
-        assert_eq!(
-            report.verdicts,
-            vec![
-                ("terminates".to_string(), true),
-                ("livelock".to_string(), false)
-            ]
-        );
-    }
-
-    /// Both engines must emit byte-identical certificates: the canonical
-    /// code sort erases discovery order.
-    #[test]
-    fn parallel_certificate_matches_sequential_bytes() {
-        let dir = cert_dir("engines");
-        let seq_path = dir.join("seq.cert");
-        let par_path = dir.join("par.cert");
-        Explorer::new(two_toys()).certify(&seq_path).run().unwrap();
-        Explorer::new(two_toys())
-            .parallelism(4)
-            .certify(&par_path)
-            .run()
-            .unwrap();
-        let seq = std::fs::read(&seq_path).unwrap();
-        let par = std::fs::read(&par_path).unwrap();
-        assert_eq!(seq, par, "certificates diverge between engines");
-    }
-
-    /// A certificate is refused once the problem changes: different
-    /// machine behavior, different limits, different failure model.
-    #[test]
-    fn stale_certificates_are_refused() {
-        use anonreg_cache::CertError;
-        let path = cert_dir("stale").join("toys.cert");
-        Explorer::new(two_toys()).certify(&path).run().unwrap();
-        // Same machines, different limits.
-        let err = Explorer::new(two_toys())
-            .max_states(77)
-            .replay_certificate(&path)
-            .unwrap_err();
-        assert!(matches!(err, CertError::Stale { .. }), "{err}");
-        assert!(err.to_string().contains("stale"), "{err}");
-        // Same machines, crash model on.
-        let err = Explorer::new(two_toys())
-            .crashes(true)
-            .replay_certificate(&path)
-            .unwrap_err();
-        assert!(matches!(err, CertError::Stale { .. }), "{err}");
-        // Different initial configuration (three toys, not two).
-        let three = Simulation::builder()
-            .process(
-                Toy {
-                    pid: pid(1),
-                    phase: 0,
-                },
-                View::identity(1),
-            )
-            .process(
-                Toy {
-                    pid: pid(2),
-                    phase: 0,
-                },
-                View::identity(1),
-            )
-            .process(
-                Toy {
-                    pid: pid(3),
-                    phase: 0,
-                },
-                View::identity(1),
-            )
-            .build()
-            .unwrap();
-        let err = Explorer::new(three).replay_certificate(&path).unwrap_err();
-        assert!(matches!(err, CertError::Stale { .. }), "{err}");
-        // The unchanged problem still replays.
-        assert!(Explorer::new(two_toys()).replay_certificate(&path).is_ok());
-    }
-
-    /// Two machine *types* whose initial fields encode identically must
-    /// still key differently: their transition functions live in code,
-    /// not in the encoded bytes, so without the type identity in the key
-    /// one family's certificate could answer for the other.
-    #[test]
-    fn structural_hash_distinguishes_machine_types() {
-        /// Field-for-field clone of [`Toy`] with different `resume`
-        /// logic — it halts immediately, so its reachable set is a
-        /// single state while `Toy`'s is not.
-        #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-        struct TwinToy {
-            pid: Pid,
-            phase: u8,
-        }
-        impl Machine for TwinToy {
-            type Value = u64;
-            type Event = &'static str;
-            fn pid(&self) -> Pid {
-                self.pid
-            }
-            fn register_count(&self) -> usize {
-                1
-            }
-            fn resume(&mut self, _read: Option<u64>) -> Step<u64, &'static str> {
-                Step::Halt
-            }
-        }
-        let twins = Simulation::builder()
-            .process(
-                TwinToy {
-                    pid: pid(1),
-                    phase: 0,
-                },
-                View::identity(1),
-            )
-            .process(
-                TwinToy {
-                    pid: pid(2),
-                    phase: 0,
-                },
-                View::identity(1),
-            )
-            .build()
-            .unwrap();
-        // The premise: both initial configurations encode to the same
-        // bytes, so only the machine's type identity can separate them.
-        assert_eq!(
-            crate::canon::encode_plain(&two_toys()),
-            crate::canon::encode_plain(&twins)
-        );
-        assert_ne!(
-            Explorer::new(two_toys()).structural_hash(),
-            Explorer::new(twins).structural_hash()
-        );
-    }
-
-    /// The registered verdict set is part of the key: adding, renaming
-    /// or dropping a verdict asks a different question, so it must miss
-    /// the cache rather than warm-hit a certificate that never recorded
-    /// the answer.
-    #[test]
-    fn structural_hash_tracks_the_verdict_set() {
-        let bare = || Explorer::new(two_toys());
-        let base = bare().structural_hash();
-        let safety = bare()
-            .verdict("safety", |_: &StateGraph<Toy>| false)
-            .structural_hash();
-        let renamed = bare()
-            .verdict("liveness", |_: &StateGraph<Toy>| false)
-            .structural_hash();
-        let both = bare()
-            .verdict("safety", |_: &StateGraph<Toy>| false)
-            .verdict("liveness", |_: &StateGraph<Toy>| false)
-            .structural_hash();
-        assert_ne!(base, safety);
-        assert_ne!(safety, renamed);
-        assert_ne!(safety, both);
-        // The predicate body is code, not identity: same names, same key.
-        assert_eq!(
-            safety,
-            bare()
-                .verdict("safety", |g: &StateGraph<Toy>| g.state_count() > 0)
-                .structural_hash()
-        );
-    }
-
-    /// Defense in depth behind the key: an intact certificate carrying
-    /// the *right* structural key but the wrong verdict set (a key
-    /// collision, or a store written by a tampered tool) is refused by
-    /// the replay-side name comparison instead of answering the wrong
-    /// question.
-    #[test]
-    fn replay_refuses_a_verdict_set_mismatch() {
-        use anonreg_cache::{CertError, CertWriter};
-        let path = cert_dir("verdict-mismatch").join("toys.cert");
-        let expect = || Explorer::new(two_toys()).verdict("expected", |_: &StateGraph<Toy>| false);
-        // Hand-build a certificate under the explorer's own key whose
-        // recorded state set is just the initial configuration and whose
-        // verdict section names something else entirely.
-        let mut writer = CertWriter::create(&path, expect().structural_hash()).unwrap();
-        writer
-            .push_code(&crate::canon::encode_plain(&two_toys()))
-            .unwrap();
-        writer.finish(&[("other".to_string(), true)]).unwrap();
-        let err = expect().replay_certificate(&path).unwrap_err();
-        match err {
-            CertError::VerdictMismatch {
-                recorded,
-                registered,
-            } => {
-                assert_eq!(recorded, vec!["other".to_string()]);
-                assert_eq!(registered, vec!["expected".to_string()]);
-            }
-            other => panic!("expected a verdict-set mismatch, got: {other}"),
-        }
-    }
-
-    /// The structural hash must also see the *views*: the plain state
-    /// encoding omits them, so a rotated view with identical machines
-    /// must still produce a different key.
-    #[test]
-    fn structural_hash_distinguishes_views() {
-        /// Two-register toy so a non-identity view exists.
-        #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-        struct Wide {
-            pid: Pid,
-            done: bool,
-        }
-        impl Machine for Wide {
-            type Value = u64;
-            type Event = ();
-            fn pid(&self) -> Pid {
-                self.pid
-            }
-            fn register_count(&self) -> usize {
-                2
-            }
-            fn resume(&mut self, _read: Option<u64>) -> Step<u64, ()> {
-                if self.done {
-                    Step::Halt
-                } else {
-                    self.done = true;
-                    Step::Write(0, self.pid.get())
-                }
-            }
-        }
-        let build = |second_view: View| {
-            Simulation::builder()
-                .process(
-                    Wide {
-                        pid: pid(1),
-                        done: false,
-                    },
-                    View::identity(2),
-                )
-                .process(
-                    Wide {
-                        pid: pid(2),
-                        done: false,
-                    },
-                    second_view,
-                )
-                .build()
-                .unwrap()
-        };
-        assert_ne!(
-            Explorer::new(build(View::rotated(2, 1))).structural_hash(),
-            Explorer::new(build(View::identity(2))).structural_hash()
-        );
-    }
-
-    /// `run_cached` — cold populates, warm replays, counts agree, and
-    /// the escape hatch is honored by the store layer.
-    #[test]
-    fn run_cached_warm_matches_cold() {
-        use crate::explore::cert::run_cached;
-        let store = anonreg_cache::CacheStore::new(cert_dir("runcached")).unwrap();
-        let key = Explorer::new(two_toys()).structural_hash();
-        let _ = store.invalidate(key);
-        let cold = run_cached(&store, || {
-            Explorer::new(two_toys()).verdict("terminates", |g: &StateGraph<Toy>| {
-                g.find_state(Simulation::all_halted).is_some()
-            })
-        })
-        .unwrap();
-        assert!(!cold.warm);
-        let warm = run_cached(&store, || {
-            Explorer::new(two_toys()).verdict("terminates", |g: &StateGraph<Toy>| {
-                g.find_state(Simulation::all_halted).is_some()
-            })
-        })
-        .unwrap();
-        assert!(warm.warm, "second run should replay the certificate");
-        assert_eq!(warm.states, cold.states);
-        assert_eq!(warm.edges, cold.edges);
-        assert_eq!(warm.verdicts, cold.verdicts);
-    }
-
-    /// A damaged certificate degrades to a cold recomputation, never an
-    /// error.
-    #[test]
-    fn run_cached_recovers_from_corruption() {
-        use crate::explore::cert::run_cached;
-        let store = anonreg_cache::CacheStore::new(cert_dir("corrupt")).unwrap();
-        let key = Explorer::new(two_toys()).structural_hash();
-        let cold = run_cached(&store, || Explorer::new(two_toys())).unwrap();
-        std::fs::write(store.path(key), b"not a certificate").unwrap();
-        let recomputed = run_cached(&store, || Explorer::new(two_toys())).unwrap();
-        assert!(!recomputed.warm);
-        assert_eq!(recomputed.states, cold.states);
-        // And the refreshed certificate serves the next run warm.
-        let warm = run_cached(&store, || Explorer::new(two_toys())).unwrap();
-        assert!(warm.warm);
-    }
-
-    /// Warm replays emit the cache probe counters.
-    #[test]
-    fn replay_emits_cache_metrics() {
-        use anonreg_obs::MemProbe;
-        let path = cert_dir("metrics").join("toys.cert");
-        Explorer::new(two_toys()).certify(&path).run().unwrap();
-        let probe = MemProbe::new();
-        Explorer::new(two_toys())
-            .probe(&probe)
-            .replay_certificate(&path)
-            .unwrap();
-        let snap = probe.into_snapshot();
-        assert_eq!(snap.counter_total(Metric::CacheHit), 1);
-        assert!(snap.counter_total(Metric::CacheReplayTime) > 0);
     }
 
     /// Folds a graph's numbering — every state's configuration, discovery

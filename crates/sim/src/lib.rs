@@ -81,11 +81,9 @@ pub mod prelude {
     //! its [`ExploreConfig`]/[`ExploreError`] companions, the
     //! [`StateGraph`] it produces, and the [`Simulation`] it consumes.
 
-    pub use crate::explore::cert::{run_cached, CachedOutcome, ReplayReport};
     pub use crate::explore::{
         Edge, ExploreConfig, ExploreError, ExploreStats, Explorer, ScheduleAction, StateGraph,
     };
     pub use crate::{SimError, Simulation, SimulationBuilder};
-    pub use anonreg_cache::{cache_disabled, CacheStore, CertError};
     pub use anonreg_model::SymmetryMode;
 }

@@ -148,6 +148,15 @@ impl ByteSink {
     }
 }
 
+/// A sink that appends to `bytes`, reusing its allocation: take a
+/// caller's buffer, encode into it, and hand it back with
+/// [`ByteSink::into_bytes`].
+impl From<Vec<u8>> for ByteSink {
+    fn from(bytes: Vec<u8>) -> Self {
+        ByteSink { bytes }
+    }
+}
+
 impl Hasher for ByteSink {
     fn finish(&self) -> u64 {
         self.fingerprint()

@@ -49,9 +49,10 @@ use crate::Simulation;
 /// signature; beyond it the enumeration soundly under-approximates.
 pub(crate) const CANDIDATE_CAP: usize = 1024;
 
-/// The encoder entry point: produces a state code and whether
-/// canonicalization *moved* the configuration off its literal encoding.
-type EncodeFn<M> = fn(&Simulation<M>, &[ViewSymmetry], SymmetryMode) -> (Box<[u8]>, bool);
+/// The encoder entry point: appends a state code to the buffer and
+/// returns whether canonicalization *moved* the configuration off its
+/// literal encoding.
+type EncodeFn<M> = fn(&Simulation<M>, &[ViewSymmetry], SymmetryMode, &mut Vec<u8>) -> bool;
 
 /// A state-code encoder fixed at [`Explorer`](crate::explore::Explorer)
 /// build time.
@@ -92,10 +93,13 @@ impl<M: Machine + Eq + Hash> StateEncoder<M> {
         self.skipped
     }
 
-    /// Encodes `sim`, returning its state code and whether canonicalization
-    /// *moved* the configuration (a non-identity image won).
-    pub(crate) fn encode(&self, sim: &Simulation<M>) -> (Box<[u8]>, bool) {
-        (self.encode)(sim, &self.syms, self.mode)
+    /// Appends `sim`'s state code to `out`, returning whether
+    /// canonicalization *moved* the configuration (a non-identity image
+    /// won). The plain path allocates nothing once `out` has grown to a
+    /// code's size, so a caller that reuses `out` encodes without
+    /// allocating.
+    pub(crate) fn encode_into(&self, sim: &Simulation<M>, out: &mut Vec<u8>) -> bool {
+        (self.encode)(sim, &self.syms, self.mode, out)
     }
 }
 
@@ -160,7 +164,7 @@ where
                 StateEncoder {
                     mode,
                     syms,
-                    encode: symmetric_entry::<M>,
+                    encode: canonical_code::<M>,
                     skipped: false,
                 }
             }
@@ -218,20 +222,10 @@ fn plain_entry<M: Machine + Eq + Hash>(
     sim: &Simulation<M>,
     _syms: &[ViewSymmetry],
     _mode: SymmetryMode,
-) -> (Box<[u8]>, bool) {
-    (encode_plain(sim).into_boxed_slice(), false)
-}
-
-fn symmetric_entry<M>(
-    sim: &Simulation<M>,
-    syms: &[ViewSymmetry],
-    mode: SymmetryMode,
-) -> (Box<[u8]>, bool)
-where
-    M: Machine + Eq + Hash + PidMap,
-    M::Value: PidMap,
-{
-    canonical_code(sim, syms, mode)
+    out: &mut Vec<u8>,
+) -> bool {
+    encode_plain(sim, out);
+    false
 }
 
 /// The public entry point behind [`Simulation::canonical_fingerprint`]:
@@ -241,23 +235,26 @@ where
     M: Machine + Eq + Hash + PidMap,
     M::Value: PidMap,
 {
+    let mut code = Vec::new();
     match mode {
-        SymmetryMode::Off => encode_plain(sim).into_boxed_slice(),
+        SymmetryMode::Off => encode_plain(sim, &mut code),
         SymmetryMode::Registers | SymmetryMode::Full => {
             let views: Vec<View> = (0..sim.process_count())
                 .map(|i| sim.view(i).clone())
                 .collect();
-            canonical_code(sim, &view_symmetries(&views), mode).0
+            canonical_code(sim, &view_symmetries(&views), mode, &mut code);
         }
     }
+    code.into_boxed_slice()
 }
 
-/// Plain (identity) encoding: registers in physical order, then slots in
-/// index order. Views are omitted — they are fixed per slot for the whole
-/// exploration, so they cannot distinguish states within one run.
-pub(crate) fn encode_plain<M: Machine + Eq + Hash>(sim: &Simulation<M>) -> Vec<u8> {
+/// Appends the plain (identity) encoding to `out`: registers in physical
+/// order, then slots in index order. Views are omitted — they are fixed
+/// per slot for the whole exploration, so they cannot distinguish states
+/// within one run.
+fn encode_plain<M: Machine + Eq + Hash>(sim: &Simulation<M>, out: &mut Vec<u8>) {
     let n = sim.process_count();
-    let mut sink = ByteSink::new();
+    let mut sink = ByteSink::from(std::mem::take(out));
     sink.write_usize(sim.registers().len());
     for value in sim.registers() {
         value.hash(&mut sink);
@@ -270,15 +267,18 @@ pub(crate) fn encode_plain<M: Machine + Eq + Hash>(sim: &Simulation<M>) -> Vec<u
         slot.poised.hash(&mut sink);
         slot.halted.hash(&mut sink);
     }
-    sink.into_bytes()
+    *out = sink.into_bytes();
 }
 
-/// The canonical code: minimum encoding over all admissible images.
+/// The canonical code: appends the minimum encoding over all admissible
+/// images to `out` and returns whether it differs from the identity
+/// image. The candidate search allocates per candidate.
 fn canonical_code<M>(
     sim: &Simulation<M>,
     syms: &[ViewSymmetry],
     mode: SymmetryMode,
-) -> (Box<[u8]>, bool)
+    out: &mut Vec<u8>,
+) -> bool
 where
     M: Machine + Eq + Hash + PidMap,
     M::Value: PidMap,
@@ -338,9 +338,9 @@ where
     }
     // The identity symmetry is always admissible, so the enumeration
     // produced at least one candidate; the fallback is unreachable.
-    let best = best.unwrap_or(id_code.clone());
-    let moved = best != id_code;
-    (best.into_boxed_slice(), moved)
+    let best = best.as_deref().unwrap_or(&id_code);
+    out.extend_from_slice(best);
+    *best != *id_code
 }
 
 /// All orderings of `sources` consistent with ascending invariant

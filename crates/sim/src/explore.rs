@@ -1667,6 +1667,25 @@ mod tests {
         }
     }
 
+    /// Plain encoding appends into the caller's buffer: once the buffer
+    /// has grown to a code's size, encoding a state allocates nothing.
+    #[test]
+    fn plain_encoding_into_a_warm_buffer_allocates_nothing() {
+        use dedup::counting::allocations;
+        let sim = two_toys();
+        let encoder = StateEncoder::plain();
+        let mut cold = Vec::new();
+        assert!(!encoder.encode_into(&sim, &mut cold));
+        let mut warm = Vec::with_capacity(2 * cold.len());
+        let (moved, allocated) = allocations(|| encoder.encode_into(&sim, &mut warm));
+        assert!(!moved);
+        assert_eq!(allocated, (0, 0), "a warm buffer needs no allocation");
+        assert_eq!(warm, cold);
+        // Codes append: a second encode lands after the first.
+        encoder.encode_into(&sim, &mut warm);
+        assert_eq!(warm[cold.len()..], cold[..]);
+    }
+
     /// A one-worker run spills too, and spilling changes nothing but
     /// where the codes live.
     #[test]

@@ -15,7 +15,8 @@
 //!   `meta` before touching any of it. Beside the slots the table keeps
 //!   one [`CodeStore::Entry`] per id — the canonical code itself
 //!   ([`InMemory`]) or where the spill files hold it ([`SpillStore`]) —
-//!   and grows those entries with the slots.
+//!   and grows those entries with the slots. Probes borrow the caller's
+//!   code; the store copies it only for a freshly claimed id.
 //! * [`SpillStore`] — an append-only on-disk code store behind a sharded
 //!   LRU in-memory tier, so canonical codes no longer pin the run's state
 //!   count to RAM. Codes append to per-worker unlinked temp files (the
@@ -115,10 +116,12 @@ pub(crate) trait CodeStore: Sync {
     /// Whether state `id`, stored in `entry`, has canonical code `code`.
     fn is_same(&self, entry: &Self::Entry, id: u32, code: &[u8]) -> bool;
 
-    /// Stores `code` for freshly claimed `id` on behalf of `worker`. Runs
-    /// before the id is published (ORD-DEDUP-META-002 makes the store
-    /// visible to every prober that finds the id).
-    fn publish(&self, entry: &Self::Entry, worker: usize, id: u32, code: Box<[u8]>);
+    /// Stores a copy of `code` for freshly claimed `id` on behalf of
+    /// `worker`. Runs before the id is published (ORD-DEDUP-META-002 makes
+    /// the store visible to every prober that finds the id). This is the
+    /// only place a code is copied out of the caller's buffer, so a probe
+    /// that finds its state already interned allocates nothing.
+    fn publish(&self, entry: &Self::Entry, worker: usize, id: u32, code: &[u8]);
 
     /// Emits the store's own counters at the end of a run.
     fn report<P: anonreg_obs::Probe>(&self, _probe: &P) {}
@@ -134,8 +137,8 @@ impl CodeStore for InMemory {
         entry.get().is_some_and(|c| **c == *code)
     }
 
-    fn publish(&self, entry: &Self::Entry, _worker: usize, _id: u32, code: Box<[u8]>) {
-        let stored = entry.set(code);
+    fn publish(&self, entry: &Self::Entry, _worker: usize, _id: u32, code: &[u8]) {
+        let stored = entry.set(code.into());
         debug_assert!(stored.is_ok(), "each id is published exactly once");
     }
 }
@@ -339,20 +342,21 @@ impl<S: CodeStore> Batch<'_, S> {
     /// fingerprinted as `fp`, on behalf of `worker`.
     ///
     /// A candidate sharing 96 fingerprint bits is confirmed through
-    /// [`CodeStore::is_same`]; a fresh code is handed to
-    /// [`CodeStore::publish`] before its id becomes visible.
+    /// [`CodeStore::is_same`]; a fresh code is copied by
+    /// [`CodeStore::publish`] before its id becomes visible, so only a
+    /// claimed id costs an allocation.
     /// `should_abort()` bounds the publication-wait spin
     /// (ORD-DEDUP-SPIN-003).
     pub(crate) fn intern(
         &mut self,
         worker: usize,
         fp: Fp128,
-        code: Box<[u8]>,
+        code: &[u8],
         should_abort: impl Fn() -> bool,
     ) -> Probe {
         loop {
             let shared = self.guard.as_ref().expect("a batch holds its guard");
-            match self.table.find(shared, fp, &code, &should_abort) {
+            match self.table.find(shared, fp, code, &should_abort) {
                 Found::Done(probe) => return probe,
                 Found::Claimed(idx, id) => {
                     self.table
@@ -573,7 +577,7 @@ impl CodeStore for SpillStore {
     /// Appends `code` for freshly claimed `id` on behalf of `worker` and
     /// stores where it went in `loc`, the id's table entry. Runs before
     /// the table's meta release, which orders the location store.
-    fn publish(&self, loc: &AtomicU64, worker: usize, id: u32, code: Box<[u8]>) {
+    fn publish(&self, loc: &AtomicU64, worker: usize, id: u32, code: &[u8]) {
         debug_assert!(
             (code.len() as u64) <= LOC_LEN_MASK,
             "code too large to spill"
@@ -582,7 +586,7 @@ impl CodeStore for SpillStore {
         {
             let mut w = self.files[worker].writer.lock().unwrap();
             offset = w.base + w.buf.len() as u64;
-            w.buf.extend_from_slice(&code);
+            w.buf.extend_from_slice(code);
             if w.buf.len() >= FLUSH_CHUNK {
                 self.flush_locked(worker, &mut w);
             }
@@ -594,7 +598,7 @@ impl CodeStore for SpillStore {
             | offset << LOC_OFFSET_SHIFT
             | (code.len() as u64) << LOC_LEN_SHIFT
             | worker as u64;
-        self.cache(id, code);
+        self.cache(id, code.into());
         // Ordered before the table's meta Release by ORD-DEDUP-META-002.
         loc.store(packed, Ordering::Release);
     }
@@ -643,8 +647,74 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
     f.read_exact(buf)
 }
 
+/// A test-only global allocator that tallies the heap blocks the
+/// current thread allocates while armed, so a test can pin what one call
+/// costs; other threads' allocations are never counted.
+#[cfg(test)]
+#[allow(unsafe_code)]
+pub(super) mod counting {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// `(blocks, bytes)` allocated since arming; `None` when unarmed.
+        static TALLY: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    }
+
+    fn note(size: usize) {
+        // `try_with`: a thread's locals may already be gone while it exits.
+        let _ = TALLY.try_with(|t| {
+            if let Some((blocks, bytes)) = t.get() {
+                t.set(Some((blocks + 1, bytes + size)));
+            }
+        });
+    }
+
+    struct Counting;
+
+    // SAFETY: every method passes its arguments unchanged to `System`,
+    // so the caller's `GlobalAlloc` obligations are exactly the ones
+    // `System` needs. Counting only touches a const-initialised
+    // thread-local `Cell`, which never allocates or re-enters this
+    // allocator.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout);
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+
+    /// Runs `f` and returns its result with the `(blocks, bytes)` this
+    /// thread allocated during the call (a realloc counts as a block of
+    /// its new size).
+    pub(crate) fn allocations<R>(f: impl FnOnce() -> R) -> (R, (usize, usize)) {
+        TALLY.set(Some((0, 0)));
+        let out = f();
+        let tally = TALLY.take().expect("armed above");
+        (out, tally)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::counting::allocations;
     use super::*;
     use anonreg_model::fingerprint::fp128;
     use std::sync::atomic::AtomicBool;
@@ -656,7 +726,7 @@ mod tests {
 
     /// Interns `code` under its own fingerprint in a one-probe batch.
     fn intern(table: &FpTable<InMemory>, code: &[u8]) -> Probe {
-        table.batch().intern(0, fp128(code), code.into(), no_abort)
+        table.batch().intern(0, fp128(code), code, no_abort)
     }
 
     fn locs(n: usize) -> Vec<AtomicU64> {
@@ -685,6 +755,22 @@ mod tests {
         assert_eq!(table.len(), 100);
     }
 
+    /// Codes are borrowed: a dedup hit allocates nothing, and a fresh
+    /// intern allocates one block, the exact-size copy the table keeps.
+    #[test]
+    fn only_a_fresh_intern_allocates() {
+        let table = FpTable::new(100, InMemory);
+        let code = vec![0x5a; 358];
+        let fp = fp128(&code);
+        let mut batch = table.batch();
+        let (fresh, allocated) = allocations(|| batch.intern(0, fp, &code, no_abort));
+        assert_eq!(fresh, Probe::Fresh(0));
+        assert_eq!(allocated, (1, code.len()), "one exact-size copy");
+        let (known, allocated) = allocations(|| batch.intern(0, fp, &code, no_abort));
+        assert_eq!(known, Probe::Known(0));
+        assert_eq!(allocated, (0, 0), "a dedup hit allocates nothing");
+    }
+
     #[test]
     fn forced_fingerprint_collisions_probe_to_distinct_slots() {
         // Same 128-bit fingerprint, genuinely different states: the code
@@ -692,24 +778,18 @@ mod tests {
         let table = FpTable::new(100, InMemory);
         let fp = Fp128 { lo: 42, hi: 7 };
         let mut batch = table.batch();
-        let a = match batch.intern(0, fp, b"a"[..].into(), no_abort) {
+        let a = match batch.intern(0, fp, b"a", no_abort) {
             Probe::Fresh(id) => id,
             other => panic!("{other:?}"),
         };
-        let b = match batch.intern(0, fp, b"b"[..].into(), no_abort) {
+        let b = match batch.intern(0, fp, b"b", no_abort) {
             Probe::Fresh(id) => id,
             other => panic!("{other:?}"),
         };
         assert_ne!(a, b);
         // Each is findable by its own code.
-        assert_eq!(
-            batch.intern(0, fp, b"a"[..].into(), no_abort),
-            Probe::Known(a)
-        );
-        assert_eq!(
-            batch.intern(0, fp, b"b"[..].into(), no_abort),
-            Probe::Known(b)
-        );
+        assert_eq!(batch.intern(0, fp, b"a", no_abort), Probe::Known(a));
+        assert_eq!(batch.intern(0, fp, b"b", no_abort), Probe::Known(b));
     }
 
     #[test]
@@ -717,14 +797,8 @@ mod tests {
         let table = FpTable::new(100, InMemory);
         let fp = Fp128 { lo: 0, hi: 99 };
         let mut batch = table.batch();
-        assert_eq!(
-            batch.intern(0, fp, b"z"[..].into(), no_abort),
-            Probe::Fresh(0)
-        );
-        assert_eq!(
-            batch.intern(0, fp, b"z"[..].into(), no_abort),
-            Probe::Known(0)
-        );
+        assert_eq!(batch.intern(0, fp, b"z", no_abort), Probe::Fresh(0));
+        assert_eq!(batch.intern(0, fp, b"z", no_abort), Probe::Known(0));
     }
 
     #[test]
@@ -836,7 +910,7 @@ mod tests {
                             let mut batch = table.batch();
                             for &k in chunk {
                                 let code = (k as u64).to_le_bytes();
-                                match batch.intern(t, fp128(&code), code[..].into(), no_abort) {
+                                match batch.intern(t, fp128(&code), &code, no_abort) {
                                     Probe::Fresh(id) => fresh.push((k, id)),
                                     Probe::Known(_) => {}
                                     other => panic!("key {k}: {other:?}"),
@@ -883,12 +957,7 @@ mod tests {
                         for i in 0..LIMIT as u64 {
                             let code = (i * THREADS as u64 + t).to_le_bytes();
                             let should_abort = || aborted.load(Ordering::Relaxed);
-                            match table.batch().intern(
-                                0,
-                                fp128(&code),
-                                code[..].into(),
-                                should_abort,
-                            ) {
+                            match table.batch().intern(0, fp128(&code), &code, should_abort) {
                                 Probe::Fresh(id) => fresh.push((i * THREADS as u64 + t, id)),
                                 Probe::Known(_) => panic!("keys are disjoint"),
                                 Probe::Limit | Probe::Aborted => {
@@ -930,10 +999,7 @@ mod tests {
                     for i in 0..64u64 {
                         let code = (i * THREADS as u64 + t as u64).to_le_bytes();
                         let should_abort = || aborted.load(Ordering::Relaxed);
-                        match table
-                            .batch()
-                            .intern(t, fp128(&code), code[..].into(), should_abort)
-                        {
+                        match table.batch().intern(t, fp128(&code), &code, should_abort) {
                             Probe::Fresh(_) => {
                                 fresh.fetch_add(1, Ordering::Relaxed);
                             }
@@ -971,7 +1037,7 @@ mod tests {
             .collect();
         let locs = locs(codes.len());
         for (i, code) in codes.iter().enumerate() {
-            spill.publish(&locs[i], i % 2, i as u32, code.clone());
+            spill.publish(&locs[i], i % 2, i as u32, code);
         }
         for (i, code) in codes.iter().enumerate() {
             assert_eq!(
@@ -1002,7 +1068,7 @@ mod tests {
             .collect();
         let locs = locs(codes.len());
         for (i, code) in codes.iter().enumerate() {
-            spill.publish(&locs[i], 0, i as u32, code.clone());
+            spill.publish(&locs[i], 0, i as u32, code);
         }
         let mut unverified = 0u32;
         for (i, code) in codes.iter().enumerate() {

@@ -20,6 +20,13 @@
 //!   the table's id-indexed entries, or — with [`ExploreConfig::spill`] —
 //!   in per-worker temp files behind a sharded LRU tier ([`SpillStore`]),
 //!   so code bytes no longer bound the state count by RAM.
+//! * **Codes are borrowed until they are fresh** — a worker encodes a
+//!   batch of successors back to back into one reused byte buffer and
+//!   fingerprints each code in place; the table compares that slice
+//!   against stored codes and copies it into an exact-size allocation
+//!   only when it claims a new id. A dedup hit allocates nothing, so the
+//!   hot loop does not churn the allocator (with two workers that churn
+//!   convoyed on malloc's arena locks).
 //! * **States travel with the work items** — a discovered state's
 //!   `Simulation` is moved into its frontier entry and, in graph mode,
 //!   into the graph sink only after its expansion, so no state is ever
@@ -50,6 +57,7 @@
 
 use std::collections::VecDeque;
 use std::hash::Hash;
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -75,9 +83,10 @@ const SPILL_LRU_BUDGET: usize = 64 << 20;
 /// How many successors a worker encodes and fingerprints before probing
 /// the shared table. Batching keeps the encode+hash loop hot in the
 /// worker's own cache lines instead of interleaving every fingerprint
-/// with a (possibly contended) table probe; the batch is drained through
-/// the table in expansion order, so intern order — and therefore every
-/// count — is bit-identical to the unbatched loop.
+/// with a (possibly contended) table probe; the batch's codes share one
+/// reused buffer and are drained through the table in expansion order,
+/// so intern order — and therefore every count — is bit-identical to the
+/// unbatched loop.
 const FP_BATCH: usize = 8;
 
 /// How often the explorer samples its frontier/depth gauges, in
@@ -279,8 +288,9 @@ impl<M: Machine> GraphSink<M> {
     }
 }
 
-/// Encodes states for the dedup table and tallies the symmetry work for
-/// the probe. Canonical searches are timed; when the encoder detected a
+/// Encodes states for the dedup table, appending each code to a buffer
+/// the caller owns and reuses, and tallies the symmetry work for the
+/// probe. Canonical searches are timed; when the encoder detected a
 /// trivial symmetry group it already short-circuits to the plain identity
 /// path, so timing it as canonicalization would charge symmetry
 /// reduction for work it no longer does — those encodes are counted as
@@ -308,16 +318,16 @@ impl<'e, M: Machine + Eq + Hash> Encoding<'e, M> {
         }
     }
 
-    fn encode(&mut self, sim: &Simulation<M>) -> Box<[u8]> {
+    /// Appends `sim`'s state code to `out`.
+    fn encode_into(&mut self, sim: &Simulation<M>, out: &mut Vec<u8>) {
         if self.time_canon {
             let start = Instant::now();
-            let (code, moved) = self.encoder.encode(sim);
+            let moved = self.encoder.encode_into(sim, out);
             self.canon_nanos += start.elapsed().as_nanos() as u64;
             self.hits += u64::from(moved);
-            code
         } else {
             self.skipped += u64::from(self.count_skipped);
-            self.encoder.encode(sim).0
+            self.encoder.encode_into(sim, out);
         }
     }
 
@@ -445,7 +455,10 @@ where
     let should_abort = || ctx.aborted.load(Ordering::Relaxed);
     let mut flushed = FlushedCounters::default();
     let mut successors: Vec<Successor<M>> = Vec::new();
-    let mut batch: Vec<(Successor<M>, Box<[u8]>, Fp128)> = Vec::with_capacity(FP_BATCH);
+    // A batch's codes sit back to back in `codes`; each entry keeps the
+    // byte range of its own code.
+    let mut batch: Vec<(Successor<M>, Range<usize>, Fp128)> = Vec::with_capacity(FP_BATCH);
+    let mut codes: Vec<u8> = Vec::new();
     let mut idle = 0u32;
     'outer: while !ctx.aborted.load(Ordering::Relaxed) {
         if let Some(t) = timer.as_mut() {
@@ -498,13 +511,15 @@ where
                 t.switch(Phase::Canon);
             }
             batch.clear();
+            codes.clear();
             while batch.len() < FP_BATCH {
                 let Some(succ) = pending_succs.next() else {
                     break;
                 };
-                let code = encoding.encode(&succ.sim);
-                let fp = fp128(&code);
-                batch.push((succ, code, fp));
+                let start = codes.len();
+                encoding.encode_into(&succ.sim, &mut codes);
+                let fp = fp128(&codes[start..]);
+                batch.push((succ, start..codes.len(), fp));
             }
             if batch.is_empty() {
                 break;
@@ -513,8 +528,8 @@ where
                 t.switch(ctx.intern_phase);
             }
             let mut table = ctx.table.batch();
-            for (succ, code, fp) in batch.drain(..) {
-                let target = match table.intern(me, fp, code, should_abort) {
+            for (succ, span, fp) in batch.drain(..) {
+                let target = match table.intern(me, fp, &codes[span], should_abort) {
                     TableProbe::Known(t) => {
                         out.dedup += 1;
                         t
@@ -669,12 +684,13 @@ where
     }
 
     let mut encoding = Encoding::new::<P>(encoder);
-    let code = encoding.encode(&initial);
+    let mut code = Vec::new();
+    encoding.encode_into(&initial, &mut code);
     if P::ENABLED {
         encoding.report(probe, 0);
     }
     let fp = fp128(&code);
-    match ctx.table.batch().intern(0, fp, code, || false) {
+    match ctx.table.batch().intern(0, fp, &code, || false) {
         TableProbe::Fresh(id) => debug_assert_eq!(id, 0, "first interned state is state 0"),
         TableProbe::Known(_) | TableProbe::Aborted => {
             unreachable!("the dedup table starts empty and nothing can abort yet")

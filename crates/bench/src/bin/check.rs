@@ -116,7 +116,7 @@ fn lint_main(selector: Option<&str>) -> ExitCode {
 }
 
 /// `check obs` — drive the Figure 1 mutex on real threads and under the
-/// model checker with a live [`MemProbe`], print the per-register
+/// model checker with a live [`MemProbe`](anonreg_obs::MemProbe), print the per-register
 /// contention heatmap, and optionally export the metrics (`--json`) or a
 /// replayable trace (`--trace`). `validate FILE` and `replay FILE` consume
 /// files produced this way.
@@ -388,7 +388,7 @@ fn obs_main(raw: &[String]) -> ExitCode {
 }
 
 /// Live-stream plumbing shared by `check explore` and `check stress`:
-/// a probe + profiler pair with a background [`StreamExporter`] tailing
+/// a probe + profiler pair with a background [`StreamExporter`](anonreg_obs::StreamExporter) tailing
 /// schema-v2 deltas and progress lines to the requested file.
 struct LiveStream {
     probe: std::sync::Arc<anonreg_obs::MemProbe>,
@@ -453,7 +453,8 @@ impl LiveStream {
 /// `check explore --symmetry MODE` — the symmetry-reduction benchmark
 /// (experiment E16): explore the symmetric Figure 2 consensus space
 /// under all three symmetry modes at `threads` threads (verdict parity
-/// is hard-asserted inside [`e16_symmetry::rows`]) and print the
+/// is hard-asserted inside
+/// [`e16_symmetry::rows`](anonreg_bench::e16_symmetry::rows)) and print the
 /// reduction table; `mode` is recorded in the JSONL meta line.
 fn explore_symmetry_main(
     mode: SymmetryMode,

@@ -37,9 +37,8 @@ use anonreg_model::Step;
 use anonreg_obs::{MemProbe, Metric, Probe as _};
 use anonreg_runtime::{
     AnonymousConsensus, AnonymousElection, AnonymousMemory, AnonymousMutex, AnonymousRenaming,
-    DriveOutcome, FaultCell, FaultKind, FaultPlan, FaultProfile, FaultyDriver,
-    FaultyHybridMutexHandle, FaultyMutexHandle, FaultyStep, HybridAnonymousMutex,
-    PackedAtomicRegister, Register,
+    DriveOutcome, FaultCell, FaultKind, FaultPlan, FaultProfile, FaultyDriver, FaultyLockHandle,
+    FaultyStep, HybridAnonymousMutex, LockMachine, PackedAtomicRegister, Register,
 };
 
 use crate::benchjson::BenchMetric;
@@ -309,21 +308,12 @@ trait FaultyLock: Send {
     fn exit(&mut self, max_steps: u64) -> DriveOutcome;
 }
 
-impl FaultyLock for FaultyMutexHandle {
+impl<M: LockMachine> FaultyLock for FaultyLockHandle<M> {
     fn try_enter(&mut self, max_steps: u64) -> DriveOutcome {
-        FaultyMutexHandle::try_enter(self, max_steps)
+        FaultyLockHandle::try_enter(self, max_steps)
     }
     fn exit(&mut self, max_steps: u64) -> DriveOutcome {
-        FaultyMutexHandle::exit(self, max_steps)
-    }
-}
-
-impl FaultyLock for FaultyHybridMutexHandle {
-    fn try_enter(&mut self, max_steps: u64) -> DriveOutcome {
-        FaultyHybridMutexHandle::try_enter(self, max_steps)
-    }
-    fn exit(&mut self, max_steps: u64) -> DriveOutcome {
-        FaultyHybridMutexHandle::exit(self, max_steps)
+        FaultyLockHandle::exit(self, max_steps)
     }
 }
 
@@ -594,8 +584,8 @@ fn election_cell(seed: u64) -> CellReport {
 
 fn renaming_cell(seed: u64) -> CellReport {
     let pids = [pid(1), pid(2), pid(3)];
-    // Crashes and stalls only: a restarted incarnation could claim a
-    // second name (see `RenamingHandle::acquire_with_faults`).
+    // Crashes and stalls only: `acquire_with_faults` refuses restarts,
+    // since a restarted incarnation could claim a second name.
     let plan = FaultPlan::random(seed, &pids, &FaultProfile::default());
     let renaming = AnonymousRenaming::new(pids.len()).expect("n > 0");
     let results: Vec<(Pid, Option<u32>)> = std::thread::scope(|s| {
@@ -604,7 +594,12 @@ fn renaming_cell(seed: u64) -> CellReport {
             .map(|&p| {
                 let handle = renaming.handle(p).expect("fresh pid");
                 let plan = &plan;
-                s.spawn(move || (p, handle.acquire_with_faults(plan, ONESHOT_BUDGET)))
+                s.spawn(move || {
+                    let name = handle
+                        .acquire_with_faults(plan, ONESHOT_BUDGET)
+                        .expect("the default profile schedules no restarts");
+                    (p, name)
+                })
             })
             .collect();
         joins

@@ -4,8 +4,8 @@
 //! The thread runtime realizes the paper's atomic registers with `SeqCst`
 //! atomics; the `anonreg-sanitizer` substrate asks which of those
 //! orderings each of the seven families actually needs. This experiment
-//! runs [`certify_family`](anonreg_sanitizer::certify_family) for every
-//! family — greedy per-site ladders `Relaxed → Acquire/Release → SeqCst`,
+//! runs [`certify_family`] for every family — greedy per-site ladders
+//! `Relaxed → Acquire/Release → SeqCst`,
 //! each rung accepted only when a seeded sweep (half the schedules under
 //! injected faults) shows neither a missing happens-before edge nor a
 //! safety violation — and tabulates the certified plans, the rungs

@@ -1,7 +1,7 @@
 //! Control-flow-graph extraction by exhaustive abstract resumption.
 //!
-//! A [`Machine`](anonreg_model::Machine) is an opaque coroutine: the only
-//! way to learn its control structure is to run it. This module runs it
+//! A [`Machine`] is an opaque coroutine: the only way to learn its
+//! control structure is to run it. This module runs it
 //! *abstractly*: from the initial state it resumes clones of the machine
 //! with every read result drawn from a caller-supplied finite **value
 //! domain**, deduplicating machine states, until the reachable state space

@@ -26,8 +26,13 @@
 //! * [`Driver`] — drives any `Machine` against a `MemoryView`, with
 //!   optional randomized backoff so obstruction-free algorithms make
 //!   progress under real contention.
-//! * High-level facades: [`AnonymousMutex`], [`AnonymousConsensus`],
-//!   [`AnonymousElection`], [`AnonymousRenaming`].
+//! * High-level facades, one generic session per algorithm shape:
+//!   [`AnonymousLock`] over a [`LockMachine`] serves the two-process locks
+//!   ([`AnonymousMutex`], [`HybridAnonymousMutex`]) with plain and faulty
+//!   handles; [`AnonymousOneShot`] over a [`OneShotMachine`] serves the
+//!   one-shot objects ([`AnonymousConsensus`], [`AnonymousElection`],
+//!   [`AnonymousRenaming`]). A new family gets the whole facade by
+//!   implementing one of the two traits.
 //!
 //! # Quickstart
 //!
@@ -53,6 +58,7 @@
 #![warn(missing_docs)]
 
 mod driver;
+mod error;
 mod facade;
 mod fault;
 mod memory;
@@ -60,10 +66,13 @@ mod pack;
 mod register;
 
 pub use driver::{Backoff, Driver, DriverReport, DriverStep};
+pub use error::RuntimeError;
 pub use facade::{
-    AnonymousConsensus, AnonymousElection, AnonymousMutex, AnonymousRenaming, ConsensusHandle,
-    ElectionHandle, FaultyHybridMutexHandle, FaultyMutexHandle, HybridAnonymousMutex,
-    HybridMutexGuard, HybridMutexHandle, MutexGuard, MutexHandle, RenamingHandle, RuntimeError,
+    AnonymousConsensus, AnonymousElection, AnonymousLock, AnonymousMutex, AnonymousOneShot,
+    AnonymousRenaming, ConsensusHandle, ElectionHandle, FaultyHybridMutexHandle, FaultyLockHandle,
+    FaultyMutexHandle, HybridAnonymousMutex, HybridMutexGuard, HybridMutexHandle, LockGuard,
+    LockHandle, LockMachine, MutexGuard, MutexHandle, OneShotHandle, OneShotMachine,
+    RenamingHandle,
 };
 pub use fault::{
     DriveOutcome, FaultCell, FaultKind, FaultPlan, FaultPoint, FaultProfile, FaultRecord,

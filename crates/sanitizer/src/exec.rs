@@ -9,8 +9,8 @@
 //! participant performs its next machine step, every shared-memory
 //! operation goes through [`SanitizedRegister::read_as`] /
 //! [`write_as`](SanitizedRegister::write_as) at the context's
-//! [`OrderingPlan`](crate::plan::OrderingPlan), and fault points fire
-//! against per-process machine-step counters exactly as
+//! [`OrderingPlan`], and fault points fire against per-process
+//! machine-step counters exactly as
 //! [`FaultyDriver`](anonreg_runtime::FaultyDriver) fires them. Same seed,
 //! same plan, same machines ⇒ the same run, operation for operation —
 //! which is what makes a printed violation witness replayable.

@@ -303,9 +303,10 @@ pub fn runtime_site_notes() -> Vec<(&'static str, &'static str)> {
         ),
         (
             "ORD-RT-HANDLE-002",
-            "SharedHandles claim/release (AcqRel fetch_add / Release fetch_sub): a pure \
-             occupancy counter — the slot's acquire/release pairing orders handle reuse, \
-             and no register data is published through it",
+            "lock handle-slot claim/release (AcqRel/Acquire compare-exchange loop that \
+             never lifts the count past the cap / Release fetch_sub): a pure occupancy \
+             counter — the slot's acquire/release pairing orders handle reuse, and no \
+             register data is published through it",
         ),
     ]
 }

@@ -166,6 +166,39 @@ pub fn parse_bench_jsonl(text: &str) -> Result<Vec<ParsedMetric>, String> {
     Ok(out)
 }
 
+/// Parses a `--require NAME=FLOOR` value. Rust's `f64` parser accepts
+/// `nan` and `inf`, and a NaN floor would pass every metric, so only a
+/// finite floor is taken.
+///
+/// # Errors
+///
+/// Returns a message naming `--require` when the value is not
+/// `NAME=FLOOR` with a finite floor.
+pub fn parse_require(value: &str) -> Result<(String, f64), String> {
+    let refuse = || format!("--require wants NAME=FLOOR with a finite FLOOR, got {value:?}");
+    let (name, floor) = value.split_once('=').ok_or_else(refuse)?;
+    match floor.parse::<f64>() {
+        Ok(floor) if floor.is_finite() => Ok((name.to_string(), floor)),
+        _ => Err(refuse()),
+    }
+}
+
+/// Parses the value of a ratio flag (`--max-time-ratio`,
+/// `--max-drop-ratio`). A NaN limit would pass every comparison and a
+/// non-positive one has no meaning, so only a finite ratio above 0 is
+/// taken.
+///
+/// # Errors
+///
+/// Returns a message naming `flag` when the value is not a finite
+/// number above 0.
+pub fn parse_ratio(flag: &str, value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(ratio) if ratio.is_finite() && ratio > 0.0 => Ok(ratio),
+        _ => Err(format!("{flag} wants a finite ratio > 0, got {value:?}")),
+    }
+}
+
 fn is_lower_better(unit: &str) -> bool {
     unit == "ms" || unit == "ns" || unit == "s"
 }
@@ -529,5 +562,58 @@ mod tests {
     fn malformed_line_is_an_error() {
         assert!(parse_bench_jsonl("{\"t\":\"bench\",").is_err());
         assert!(parse_bench_jsonl("{\"t\":\"bench\",\"experiment\":\"E1\"}").is_err());
+    }
+    #[test]
+    fn require_parses_a_finite_floor() {
+        assert_eq!(
+            parse_require("coverage=0.7"),
+            Ok(("coverage".to_string(), 0.7))
+        );
+        // The parsed floor gates: 0.1 is below it.
+        let floor = Thresholds {
+            allow_missing: true,
+            require: vec![parse_require("coverage=0.7").unwrap()],
+            ..Thresholds::default()
+        };
+        let m = [metric("a_coverage", 0.1, "x")];
+        assert!(diff(&m, &m, &floor).regressed());
+    }
+
+    #[test]
+    fn require_refuses_a_non_finite_or_missing_floor() {
+        for value in [
+            "coverage=nan",
+            "coverage=inf",
+            "coverage=-inf",
+            "coverage",
+            "coverage=",
+        ] {
+            let err = parse_require(value).unwrap_err();
+            assert!(err.contains("--require"), "{value}: {err}");
+        }
+    }
+
+    #[test]
+    fn ratio_parses_a_positive_finite_limit() {
+        assert_eq!(parse_ratio("--max-time-ratio", "10"), Ok(10.0));
+        assert_eq!(parse_ratio("--max-drop-ratio", "1.5"), Ok(1.5));
+    }
+
+    #[test]
+    fn ratio_refuses_a_non_finite_limit_naming_the_flag() {
+        for (flag, value) in [
+            ("--max-time-ratio", "nan"),
+            ("--max-drop-ratio", "NaN"),
+            ("--max-time-ratio", "inf"),
+        ] {
+            let err = parse_ratio(flag, value).unwrap_err();
+            assert!(err.contains(flag), "{value}: {err}");
+        }
+    }
+
+    #[test]
+    fn ratio_refuses_zero_and_negative_limits() {
+        assert!(parse_ratio("--max-time-ratio", "0").is_err());
+        assert!(parse_ratio("--max-drop-ratio", "-1.5").is_err());
     }
 }

@@ -45,7 +45,8 @@ fn usage() -> ExitCode {
          \x20      check profile [--full] [--threads N] [--max-states N] [--entries N] \
          [--flamegraph FILE] [--json FILE]   wall-clock phase profiles (E18): explorer \
          workers + runtime driver, collapsed-stack flamegraph export; gate the exported \
-         coverage with bench-diff --require coverage=FLOOR\n\
+         coverage and no-op driver speed with bench-diff --require coverage=FLOOR \
+         --require noop_speed=FLOOR\n\
          \x20      check bench-diff BEFORE AFTER [--max-time-ratio X] [--max-drop-ratio X] \
          [--allow-missing] [--require NAME=FLOOR] [--exact-counts] [--reduced-marker SEG]   \
          compare two bench JSONL files (reduction-mode runs compare states/edges \
@@ -963,7 +964,9 @@ fn stress_main(raw: &[String]) -> ExitCode {
 /// (`--json`). The JSONL carries each long-enough explorer run's
 /// self-time coverage of its wall-clock as `<slug>_coverage`, which CI
 /// floors with `check bench-diff F F --allow-missing --require
-/// coverage=0.7`.
+/// coverage=0.7`, and the no-op driver's speed relative to a hand-rolled
+/// loop as `driver_noop_speed`, floored with `--require
+/// noop_speed=0.5`.
 fn profile_main(raw: &[String]) -> ExitCode {
     use anonreg_bench::{benchjson, e18_profile};
     use anonreg_obs::schema::meta_line;
@@ -1018,7 +1021,8 @@ fn profile_main(raw: &[String]) -> ExitCode {
         }
     };
     runs.push(e18_profile::profile_runtime(3, entries));
-    println!("{}", e18_profile::render(&runs));
+    let noop_speed = e18_profile::driver_noop_speed();
+    println!("{}", e18_profile::render(&runs, noop_speed));
 
     if let Some(path) = &flamegraph {
         let collapsed: String = runs
@@ -1045,7 +1049,9 @@ fn profile_main(raw: &[String]) -> ExitCode {
         )
         .render();
         out.push('\n');
-        out.push_str(&benchjson::to_jsonl(&e18_profile::metrics(&runs)));
+        out.push_str(&benchjson::to_jsonl(&e18_profile::metrics(
+            &runs, noop_speed,
+        )));
         if let Err(e) = std::fs::write(path, &out) {
             eprintln!("failed to write {path}: {e}");
             return ExitCode::FAILURE;
@@ -1079,28 +1085,23 @@ fn bench_diff_main(raw: &[String]) -> ExitCode {
                 };
                 thresholds.reduced_markers.push(v.clone());
             }
-            "--max-time-ratio" | "--max-drop-ratio" => {
-                let Some(v) = it.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    return usage();
-                };
-                if arg == "--max-time-ratio" {
-                    thresholds.max_time_ratio = v;
-                } else {
-                    thresholds.max_drop_ratio = v;
-                }
-            }
-            "--require" => {
+            "--max-time-ratio" | "--max-drop-ratio" | "--require" => {
                 let Some(v) = it.next() else {
                     return usage();
                 };
-                let Some((name, floor)) = v.split_once('=') else {
-                    eprintln!("--require wants NAME=FLOOR, got {v:?}");
-                    return usage();
+                let parsed = match arg.as_str() {
+                    "--max-time-ratio" => {
+                        benchdiff::parse_ratio(arg, v).map(|r| thresholds.max_time_ratio = r)
+                    }
+                    "--max-drop-ratio" => {
+                        benchdiff::parse_ratio(arg, v).map(|r| thresholds.max_drop_ratio = r)
+                    }
+                    _ => benchdiff::parse_require(v).map(|floor| thresholds.require.push(floor)),
                 };
-                let Ok(floor) = floor.parse::<f64>() else {
+                if let Err(e) = parsed {
+                    eprintln!("{e}");
                     return usage();
-                };
-                thresholds.require.push((name.to_string(), floor));
+                }
             }
             _ if arg.starts_with("--") => return usage(),
             _ => files.push(arg),

@@ -24,6 +24,15 @@ use anonreg_bench::{
 use anonreg_obs::schema::meta_line;
 use anonreg_obs::Json;
 
+/// Every experiment id, in run order.
+const IDS: [&str; 19] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+    "e16", "e17", "e18", "e19",
+];
+
+const USAGE: &str = "usage: repro [--quick] [--json FILE] [e1 .. e19]";
+
+#[derive(Debug, Default, PartialEq)]
 struct Config {
     quick: bool,
     json: Option<String>,
@@ -36,38 +45,56 @@ impl Config {
     }
 }
 
-fn main() {
-    let mut config = Config {
-        quick: false,
-        json: None,
-        selected: Vec::new(),
-    };
-    let mut args = env::args().skip(1);
+#[derive(Debug, PartialEq)]
+enum Command {
+    Run(Config),
+    Help,
+}
+
+/// Parses the command line. Anything but `--quick`, `--json FILE`,
+/// `--help` and the ids in [`IDS`] (bare or as `--e1`) is refused, so a
+/// typo never runs the wrong experiment or the wrong scale.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
+    let mut config = Config::default();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => config.quick = true,
-            "--json" => {
-                let Some(path) = args.next() else {
-                    eprintln!("--json requires a file path");
-                    std::process::exit(2);
-                };
-                config.json = Some(path);
+            "--json" => config.json = Some(args.next().ok_or("--json requires a file path")?),
+            "--help" | "-h" => return Ok(Command::Help),
+            other => {
+                let id = other.trim_start_matches("--");
+                if IDS.contains(&id) {
+                    config.selected.push(id.to_string());
+                } else if other.starts_with('-') {
+                    return Err(format!("unknown flag {other:?}"));
+                } else {
+                    return Err(format!("unknown experiment {other:?}"));
+                }
             }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [--quick] [--json FILE] [e1 .. e19]\n\
-                     Regenerates the experiment tables of the PODC'17\n\
-                     'Coordination Without Prior Agreement' reproduction.\n\
-                     --json FILE also writes every metric as schema-v1\n\
-                     JSONL bench lines (validate with `check obs validate`)."
-                );
-                return;
-            }
-            other => config
-                .selected
-                .push(other.trim_start_matches("--").to_string()),
         }
     }
+    Ok(Command::Run(config))
+}
+
+fn main() {
+    let config = match parse_args(env::args().skip(1)) {
+        Ok(Command::Run(config)) => config,
+        Ok(Command::Help) => {
+            println!(
+                "{USAGE}\n\
+                 Regenerates the experiment tables of the PODC'17\n\
+                 'Coordination Without Prior Agreement' reproduction.\n\
+                 --json FILE also writes every metric as schema-v1\n\
+                 JSONL bench lines (validate with `check obs validate`)."
+            );
+            return;
+        }
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}\nvalid experiment ids: {}", IDS.join(" "));
+            std::process::exit(2);
+        }
+    };
 
     let mut metrics: Vec<BenchMetric> = Vec::new();
     let mut section = |id: &str, title: &str, body: &dyn Fn() -> (String, Vec<BenchMetric>)| {
@@ -258,7 +285,11 @@ fn main() {
             let mut runs = e18_profile::rows(!q, if q { 2 } else { 4 }, 8_000_000)
                 .expect("profiled workloads fit the state budget");
             runs.push(e18_profile::profile_runtime(3, if q { 50 } else { 200 }));
-            (e18_profile::render(&runs), e18_profile::metrics(&runs))
+            let noop_speed = e18_profile::driver_noop_speed();
+            (
+                e18_profile::render(&runs, noop_speed),
+                e18_profile::metrics(&runs, noop_speed),
+            )
         },
     );
 
@@ -296,5 +327,77 @@ fn main() {
             std::process::exit(1);
         }
         println!("wrote {} metric lines to {path}", metrics.len());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        parse_args(args.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn no_arguments_run_everything_at_full_scale() {
+        assert_eq!(parse(&[]), Ok(Command::Run(Config::default())));
+    }
+
+    #[test]
+    fn flags_and_ids_combine() {
+        let Ok(Command::Run(config)) = parse(&["--quick", "e2", "--json", "f.jsonl", "e19"]) else {
+            panic!("valid arguments refused");
+        };
+        assert!(config.quick);
+        assert_eq!(config.json.as_deref(), Some("f.jsonl"));
+        assert!(config.wants("e2") && config.wants("e19"));
+        assert!(!config.wants("e1"));
+    }
+
+    #[test]
+    fn help_wins() {
+        assert_eq!(parse(&["e1", "--help"]), Ok(Command::Help));
+        assert_eq!(parse(&["-h"]), Ok(Command::Help));
+    }
+
+    #[test]
+    fn unknown_experiment_is_refused() {
+        for id in ["e20", "e0", "E1", "e01", "all"] {
+            let err = parse(&[id]).unwrap_err();
+            assert!(err.contains("unknown experiment"), "{id}: {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_flag_is_refused_not_taken_as_an_id() {
+        let err = parse(&["--qiuck", "e2"]).unwrap_err();
+        assert!(err.contains("--qiuck"), "{err}");
+        assert!(parse(&["--e20"]).is_err());
+    }
+
+    #[test]
+    fn dashed_ids_select_the_bare_id() {
+        assert_eq!(
+            parse(&["--e2"]),
+            Ok(Command::Run(Config {
+                selected: vec!["e2".to_string()],
+                ..Config::default()
+            }))
+        );
+    }
+
+    #[test]
+    fn json_without_a_path_is_refused() {
+        assert!(parse(&["--json"]).is_err());
+    }
+
+    #[test]
+    fn every_id_is_selectable() {
+        for id in IDS {
+            let Ok(Command::Run(config)) = parse(&[id]) else {
+                panic!("{id} refused");
+            };
+            assert_eq!(config.selected, [id]);
+        }
     }
 }

@@ -21,12 +21,19 @@
 //! are not worker self-time. The collapsed-stack export
 //! ([`ProfiledRun::collapsed`]) is the `inferno`/speedscope flamegraph
 //! format, one `run;worker;phase ns` line per frame.
+//!
+//! One more row checks that instrumentation is free when it is off:
+//! [`driver_noop_speed`] times a solo Figure 1 mutex under a
+//! [`NoopProbe`](anonreg_obs::NoopProbe) [`Driver`] against a
+//! hand-rolled `resume` loop over the same memory, exported as
+//! `driver_noop_speed` (hand-rolled ÷ driver, unit `x`) and floored by
+//! CI with `check bench-diff --require noop_speed=0.5`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use anonreg::mutex::{AnonMutex, MutexEvent};
-use anonreg::{Pid, View};
+use anonreg::{Machine, Pid, Step, View};
 use anonreg_obs::{Phase, Profiler, WorkerProfile};
 use anonreg_runtime::{AnonymousMemory, Backoff, Driver, PackedAtomicRegister};
 use anonreg_sim::prelude::*;
@@ -208,6 +215,80 @@ pub fn profile_runtime(m: usize, entries: u64) -> ProfiledRun {
     }
 }
 
+/// Registers of the solo mutex [`driver_noop_speed`] times.
+const SOLO_M: usize = 3;
+/// Critical sections per timed solo run.
+const SOLO_CYCLES: u64 = 2_000;
+/// Timed runs per median.
+const SOLO_SAMPLES: usize = 15;
+/// Medians compared per variant; the best ratio rides out scheduler
+/// noise.
+const SOLO_ATTEMPTS: usize = 5;
+
+fn solo_mutex() -> AnonMutex {
+    AnonMutex::new(Pid::new(1).unwrap(), SOLO_M)
+        .unwrap()
+        .with_cycles(SOLO_CYCLES)
+}
+
+fn solo_memory() -> AnonymousMemory<PackedAtomicRegister<u64>> {
+    AnonymousMemory::new(SOLO_M)
+}
+
+/// The floor: the machine over the view, no driver and no probe.
+fn handrolled_solo() -> u64 {
+    let mem = solo_memory();
+    let view = mem.view(View::identity(SOLO_M));
+    let mut machine = solo_mutex();
+    let mut pending = None;
+    let mut events = 0u64;
+    loop {
+        match machine.resume(pending.take()) {
+            Step::Read(local) => pending = Some(view.read(local)),
+            Step::Write(local, value) => view.write(local, value),
+            Step::Event(_) => events += 1,
+            Step::Halt => return events,
+        }
+    }
+}
+
+fn driver_noop_solo() -> u64 {
+    let mem = solo_memory();
+    let mut driver = Driver::new(solo_mutex(), mem.view(View::identity(SOLO_M)));
+    driver.run_to_halt().len() as u64
+}
+
+fn median_solo_ns(run: fn() -> u64) -> u128 {
+    let mut times: Vec<u128> = (0..SOLO_SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            assert_eq!(run(), 2 * SOLO_CYCLES, "Enter + Exit per cycle");
+            start.elapsed().as_nanos().max(1)
+        })
+        .collect();
+    times.sort_unstable();
+    times[times.len() / 2]
+}
+
+/// How fast the default no-op-probe [`Driver`] runs a solo Figure 1
+/// mutex (`m = 3`, 2,000 cycles) relative to a hand-rolled `resume`
+/// loop over the same atomic memory: hand-rolled median ÷ driver
+/// median, over 15-sample medians, best of 5 attempts. 1.0 would mean
+/// the driver adds nothing to the bare loop; it does count ops into its
+/// report and collect the events it returns, and measures about 0.6 on
+/// a 2-core x86-64 host. A probe hook that did not compile away would
+/// add per-op work and push the ratio lower.
+#[must_use]
+pub fn driver_noop_speed() -> f64 {
+    (0..SOLO_ATTEMPTS)
+        .map(|_| {
+            let floor = median_solo_ns(handrolled_solo);
+            let noop = median_solo_ns(driver_noop_solo);
+            floor as f64 / noop as f64
+        })
+        .fold(0.0, f64::max)
+}
+
 /// The default profiling sweep: both E16 workloads under `off` and
 /// `full`, at `threads` threads — full-scale shapes, or for the quick
 /// sweep the `m = 2` ring and the full-scale consensus space.
@@ -239,9 +320,10 @@ pub fn rows(
     Ok(out)
 }
 
-/// Renders the per-run phase breakdown table.
+/// Renders the per-run phase breakdown table, then the no-op driver
+/// speed ([`driver_noop_speed`]).
 #[must_use]
-pub fn render(runs: &[ProfiledRun]) -> String {
+pub fn render(runs: &[ProfiledRun], noop_speed: f64) -> String {
     let mut t = Table::new(vec!["run", "phase stack", "self ms", "share", "coverage"]);
     for run in runs {
         let total = run.total_self_ns().max(1);
@@ -261,15 +343,18 @@ pub fn render(runs: &[ProfiledRun]) -> String {
             first = false;
         }
     }
-    t.render()
+    format!(
+        "{}\nno-op driver speed: {noop_speed:.2}x of the hand-rolled resume loop",
+        t.render()
+    )
 }
 
 /// Machine-readable metrics for the given runs (experiment `E18`):
-/// per-stack self-milliseconds and wall-clock per run, and coverage for
+/// per-stack self-milliseconds and wall-clock per run, coverage for
 /// the runs where it is meaningful
-/// ([`ProfiledRun::coverage_is_meaningful`]).
+/// ([`ProfiledRun::coverage_is_meaningful`]), and `driver_noop_speed`.
 #[must_use]
-pub fn metrics(runs: &[ProfiledRun]) -> Vec<BenchMetric> {
+pub fn metrics(runs: &[ProfiledRun], noop_speed: f64) -> Vec<BenchMetric> {
     let mut out = Vec::new();
     for run in runs {
         let family = if run.slug.starts_with("consensus") {
@@ -303,6 +388,13 @@ pub fn metrics(runs: &[ProfiledRun]) -> Vec<BenchMetric> {
             ));
         }
     }
+    out.push(BenchMetric::new(
+        "E18",
+        "mutex",
+        "driver_noop_speed",
+        noop_speed,
+        "x",
+    ));
     out
 }
 
@@ -394,14 +486,14 @@ mod tests {
             run("consensus_n3_r2_off_t2", 9_000, COVERAGE_MIN_WALL),
             run("driver_m3", 0, Duration::from_secs(1)),
         ];
-        let coverage: Vec<String> = metrics(&runs)
+        let coverage: Vec<String> = metrics(&runs, 1.0)
             .into_iter()
             .map(|m| m.name)
             .filter(|name| name.ends_with("_coverage"))
             .collect();
         assert_eq!(coverage, ["consensus_n3_r2_off_t2_coverage"]);
         // Every run still reports its wall-clock.
-        let walls = metrics(&runs)
+        let walls = metrics(&runs, 1.0)
             .iter()
             .filter(|m| m.name.ends_with("_wall_ms"))
             .count();
@@ -415,8 +507,35 @@ mod tests {
         let breakdown = run.phase_breakdown();
         assert!(breakdown.iter().any(|(s, _)| s == "doorway"));
         assert!(breakdown.iter().any(|(s, _)| s == "critical"));
-        let m = metrics(std::slice::from_ref(&run));
+        let m = metrics(std::slice::from_ref(&run), 1.0);
         assert!(m.iter().any(|x| x.name == "driver_m3_wall_ms"));
         assert!(m.iter().all(|x| x.experiment == "E18"));
+    }
+
+    #[test]
+    fn noop_speed_is_a_positive_ratio_exported_in_x() {
+        let speed = driver_noop_speed();
+        assert!(speed.is_finite() && speed > 0.0, "{speed}");
+        let m = metrics(&[], speed);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m[0].name, "driver_noop_speed");
+        assert_eq!(m[0].unit, "x");
+        assert!(render(&[], speed).contains("no-op driver speed"));
+    }
+
+    /// One solo cycle costs 4m ops, as E10 bounds it on the simulator:
+    /// m claim reads + m claim writes, then m view reads + m restore
+    /// writes. Here the runtime driver's probe must count the same.
+    #[test]
+    fn probed_solo_driver_counts_2m_reads_and_2m_writes_per_cycle() {
+        let probe = anonreg_obs::MemProbe::new();
+        let mem = solo_memory();
+        let mut driver =
+            Driver::new(solo_mutex(), mem.view(View::identity(SOLO_M))).with_probe(&probe);
+        assert_eq!(driver.run_to_halt().len() as u64, 2 * SOLO_CYCLES);
+        let snap = probe.snapshot();
+        let per_kind = 2 * SOLO_CYCLES * SOLO_M as u64;
+        assert_eq!(snap.counter_total(anonreg_obs::Metric::RegRead), per_kind);
+        assert_eq!(snap.counter_total(anonreg_obs::Metric::RegWrite), per_kind);
     }
 }

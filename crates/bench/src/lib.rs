@@ -26,8 +26,8 @@
 //! | [`e18_profile`] | E18 | §2 operations on the clock — per-worker wall-clock phase profiles of exploration and the runtime driver |
 //! | [`e19_scale`] | E19 | model checking at scale — stats-mode exploration with POR and disk spill |
 //!
-//! `cargo run --release -p anonreg-bench --bin repro` prints them all; the
-//! Criterion benches in `benches/` time the underlying machinery.
+//! `cargo run --release -p anonreg-bench --bin repro` prints them all, and
+//! `repro -- --json FILE` also writes their metrics as JSONL.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,5 +57,4 @@ pub mod benchjson;
 pub mod lintsuite;
 pub mod live;
 pub mod table;
-pub mod timing;
 pub mod workload;

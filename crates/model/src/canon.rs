@@ -13,7 +13,7 @@
 //!
 //! * [`SymmetryMode`] — how much of the group an exploration may use;
 //! * [`ByteSink`] — a [`Hasher`] that *serializes* instead of mixing, so a
-//!   configuration's `Hash` impl doubles as a stable byte encoding;
+//!   configuration's `Hash` impl doubles as its in-process byte encoding;
 //! * [`PidCanon`] — first-occurrence identifier renumbering, the canonical
 //!   representative of a pid-renaming class;
 //! * [`view_symmetries`] — the admissible register/slot permutations of a
@@ -104,16 +104,23 @@ impl FromStr for SymmetryMode {
 }
 
 /// A [`Hasher`] that appends instead of mixing: feeding a value's `Hash`
-/// impl through a `ByteSink` yields a stable little-endian byte encoding
-/// of the value.
+/// impl through a `ByteSink` yields a byte encoding of the value.
 ///
 /// For `derive(Hash)` types this encoding is injective in practice: enum
 /// discriminants and slice length prefixes make it prefix-free, so two
 /// structurally different values produce different byte strings. The
 /// explorer's dedup therefore compares these encodings directly (safer
 /// than a 64-bit fingerprint: a hash collision can at worst *fail to
-/// merge*, never conflate). Like [`Fnv64`], `usize` values are widened to
-/// `u64` so encodings agree across platforms.
+/// merge*, never conflate).
+///
+/// The encoding is fixed only for one build on one platform. Scalars
+/// hashed one at a time go through the typed `write_*` methods below:
+/// little-endian, with `usize` widened to `u64`. Integer slices do not:
+/// std's `hash_slice` sends a `Vec<u64>` or `Vec<usize>` (such as
+/// `AnonMutex::myview`) through [`Hasher::write`] as its raw in-memory
+/// bytes, native-endian and with `usize` elements at their native width.
+/// That is enough, because a state code never outlives the exploration
+/// that made it: even the disk spill keeps codes only for its own run.
 #[derive(Clone, Debug, Default)]
 pub struct ByteSink {
     bytes: Vec<u8>,
@@ -138,7 +145,7 @@ impl ByteSink {
         self.bytes
     }
 
-    /// The stable FNV-1a fingerprint of the encoded bytes — identical to
+    /// The FNV-1a fingerprint of the encoded bytes — identical to
     /// hashing the same values straight into an [`Fnv64`].
     #[must_use]
     pub fn fingerprint(&self) -> u64 {

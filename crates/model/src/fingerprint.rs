@@ -10,8 +10,10 @@
 //! from its recorded fingerprints.
 //!
 //! [`Fnv64`] is the classic FNV-1a 64-bit hash as a [`Hasher`], with the
-//! multi-byte integer writes pinned to little-endian so fingerprints are
-//! stable across platforms as well as across threads. It is *not* collision
+//! multi-byte integer writes pinned to little-endian. Fingerprints agree
+//! across threads and processes of one build; across platforms only for
+//! values without integer slices, which std's `hash_slice` feeds to
+//! [`Hasher::write`] as native-endian bytes. It is *not* collision
 //! resistant against adversarial inputs — interners must confirm candidate
 //! matches with a full equality check, which is what the explorer's sharded
 //! table does.

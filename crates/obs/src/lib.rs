@@ -12,8 +12,8 @@
 //!   `anonreg-sim`'s explorer, `anonreg-lower`'s covering builder) are
 //!   generic over a probe and emit counters, gauges, histograms, spans and
 //!   events into it. [`NoopProbe`] has [`Probe::ENABLED`]` == false` and
-//!   compiles every hook away — the timing check in `crates/bench`
-//!   holds the default path to the uninstrumented cost. [`MemProbe`]
+//!   compiles every hook away — experiment E18's `driver_noop_speed`
+//!   row measures the default path against the uninstrumented cost. [`MemProbe`]
 //!   aggregates in memory and yields a deterministic
 //!   [`MetricsSnapshot`].
 //! * [`json`] — a hand-rolled JSON value type, writer and strict parser

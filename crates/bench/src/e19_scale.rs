@@ -75,6 +75,13 @@ impl Row {
     pub fn throughput(&self) -> f64 {
         self.stats.states as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
+
+    /// Mean stored state-code length in bytes: what each interned state
+    /// costs the dedup table's code store, in memory or spilled.
+    #[must_use]
+    pub fn bytes_per_state(&self) -> f64 {
+        self.stats.code_bytes as f64 / self.stats.states.max(1) as f64
+    }
 }
 
 /// The full-scale workload trio the 10-minute budget covers.
@@ -248,6 +255,7 @@ pub fn render(rows: &[Row]) -> String {
         "max depth",
         "time",
         "states/s",
+        "bytes/state",
     ]);
     for row in rows {
         t.row(vec![
@@ -260,13 +268,16 @@ pub fn render(rows: &[Row]) -> String {
             row.stats.max_depth.to_string(),
             format!("{:.1} ms", row.elapsed.as_secs_f64() * 1e3),
             format!("{:.0}", row.throughput()),
+            format!("{:.1}", row.bytes_per_state()),
         ]);
     }
     t.render()
 }
 
 /// Emits the schema-v1 bench metrics:
-/// `{workload}_{config}_t{threads}_{states|edges|time|throughput}`.
+/// `{workload}_{config}_t{threads}_{states|edges|time|throughput|bytes_per_state}`.
+/// `bytes_per_state` has unit `bytes`, which `check bench-diff` compares
+/// exactly, so any change to the state-code encoding shows up.
 #[must_use]
 pub fn metrics(rows: &[Row]) -> Vec<BenchMetric> {
     let mut out = Vec::new();
@@ -308,6 +319,13 @@ pub fn metrics(rows: &[Row]) -> Vec<BenchMetric> {
             format!("{base}_throughput"),
             row.throughput(),
             "ops_per_s",
+        ));
+        out.push(BenchMetric::new(
+            "E19",
+            family,
+            format!("{base}_bytes_per_state"),
+            row.bytes_per_state(),
+            "bytes",
         ));
     }
     out
@@ -392,7 +410,10 @@ mod tests {
         assert!(rows.iter().all(|r| r.throughput() > 0.0));
 
         let jsonl = crate::benchjson::to_jsonl(&metrics(&rows));
-        assert_eq!(validate_jsonl(&jsonl).unwrap(), 12);
+        assert_eq!(validate_jsonl(&jsonl).unwrap(), 15);
         assert!(jsonl.contains("consensus_n2_r2_por_spill_t2_throughput"));
+        // Spill stores the same codes, so the same bytes per state.
+        assert_eq!(por.stats.code_bytes, por_spill.stats.code_bytes);
+        assert!(jsonl.contains("consensus_n2_r2_por_spill_t2_bytes_per_state"));
     }
 }

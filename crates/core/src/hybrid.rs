@@ -39,7 +39,7 @@ use std::fmt;
 
 use anonreg_model::{Machine, Pid, PidMap, Step};
 
-use crate::mutex::{MutexConfigError, MutexEvent, Section};
+use crate::mutex::{Marks, MutexConfigError, MutexEvent, Section};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Pc {
@@ -105,7 +105,7 @@ pub struct HybridMutex {
     /// Anonymous register count (the named `T` is index `m`).
     m: usize,
     cycles_remaining: Option<u64>,
-    myview: Vec<u64>,
+    myview: Marks,
     j: usize,
     /// Set when the tie was won: claim every register, not just zeros.
     forced: bool,
@@ -156,7 +156,7 @@ impl HybridMutex {
             pid,
             m,
             cycles_remaining: None,
-            myview: vec![0; m],
+            myview: Marks::zeroed(m),
             j: 0,
             forced: false,
             saw_foreign: false,

@@ -19,6 +19,8 @@
 //! model checking.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 
 use anonreg_model::{Machine, Pid, PidMap, Step};
 
@@ -117,6 +119,62 @@ enum Pc {
     ExitWrite,
 }
 
+/// A process's local copy of the shared mark array (`myview` in the
+/// paper), shared by the Figure 1 mutex and its ordered and hybrid
+/// variants.
+///
+/// It derefs to `[u64]` and prints like the slice. Its `Hash` writes the
+/// length, then each mark through [`Hasher::write_u64`]: a plain
+/// `Vec<u64>` would go through std's `hash_slice`, which hands the
+/// marks to [`Hasher::write`] as raw eight-byte words, so a varint state
+/// encoder would store a mark in eight bytes instead of one. On
+/// little-endian hosts a fixed-width hasher such as `Fnv64` sees the
+/// same bytes either way, so its fingerprints are unchanged.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct Marks(Vec<u64>);
+
+impl Marks {
+    /// `m` cleared marks.
+    pub(crate) fn zeroed(m: usize) -> Self {
+        Marks(vec![0; m])
+    }
+}
+
+impl Deref for Marks {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.0
+    }
+}
+
+impl DerefMut for Marks {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        &mut self.0
+    }
+}
+
+impl FromIterator<u64> for Marks {
+    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
+        Marks(iter.into_iter().collect())
+    }
+}
+
+impl Hash for Marks {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.0.len());
+        for &mark in &self.0 {
+            state.write_u64(mark);
+        }
+    }
+}
+
+impl fmt::Debug for Marks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0[..], f)
+    }
+}
+
 /// The Figure 1 algorithm: memory-anonymous symmetric deadlock-free mutual
 /// exclusion for two processes using `m` registers.
 ///
@@ -150,7 +208,7 @@ pub struct AnonMutex {
     /// `None` = loop forever (the paper's infinite loop).
     cycles_remaining: Option<u64>,
     /// Local copy of the shared array (`myview[1..m]` in the paper).
-    myview: Vec<u64>,
+    myview: Marks,
     /// Loop index `j`.
     j: usize,
     /// Abort the current entry attempt at the next decision point (see
@@ -188,7 +246,7 @@ impl AnonMutex {
             pid,
             m,
             cycles_remaining: None,
-            myview: vec![0; m],
+            myview: Marks::zeroed(m),
             j: 0,
             abort_requested: false,
             abort_after: None,
@@ -492,6 +550,29 @@ mod tests {
 
     fn pid(n: u64) -> Pid {
         Pid::new(n).unwrap()
+    }
+
+    /// Each family's initial machine spends one state-code byte per
+    /// mark: two more registers add exactly two bytes (`m` and the mark
+    /// count stay one-byte varints). An integer vector hashed through
+    /// std's raw `hash_slice` path would add sixteen.
+    #[test]
+    fn marks_encode_one_byte_each() {
+        use crate::hybrid::HybridMutex;
+        use crate::ordered::OrderedMutex;
+        use anonreg_model::canon::ByteSink;
+
+        fn code_len<T: Hash>(machine: &T) -> usize {
+            let mut sink = ByteSink::new();
+            machine.hash(&mut sink);
+            sink.bytes().len()
+        }
+        let anon = |m| AnonMutex::new(pid(1), m).unwrap();
+        assert_eq!(code_len(&anon(5)) - code_len(&anon(3)), 2);
+        let ordered = |m| OrderedMutex::new(pid(1), m).unwrap();
+        assert_eq!(code_len(&ordered(5)) - code_len(&ordered(3)), 2);
+        let hybrid = |m| HybridMutex::new(pid(1), m).unwrap();
+        assert_eq!(code_len(&hybrid(5)) - code_len(&hybrid(3)), 2);
     }
 
     /// Drives a single machine against a private register array until it

@@ -40,7 +40,7 @@ use std::fmt;
 
 use anonreg_model::{Machine, Pid, PidMap, Step};
 
-use crate::mutex::{MutexConfigError, MutexEvent, Section};
+use crate::mutex::{Marks, MutexConfigError, MutexEvent, Section};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Pc {
@@ -83,7 +83,7 @@ pub struct OrderedMutex {
     pid: Pid,
     m: usize,
     cycles_remaining: Option<u64>,
-    myview: Vec<u64>,
+    myview: Marks,
     j: usize,
     pc: Pc,
 }
@@ -104,7 +104,7 @@ impl OrderedMutex {
             pid,
             m,
             cycles_remaining: None,
-            myview: vec![0; m],
+            myview: Marks::zeroed(m),
             j: 0,
             pc: Pc::Remainder,
         })

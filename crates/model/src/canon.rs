@@ -106,21 +106,29 @@ impl FromStr for SymmetryMode {
 /// A [`Hasher`] that appends instead of mixing: feeding a value's `Hash`
 /// impl through a `ByteSink` yields a byte encoding of the value.
 ///
-/// For `derive(Hash)` types this encoding is injective in practice: enum
-/// discriminants and slice length prefixes make it prefix-free, so two
-/// structurally different values produce different byte strings. The
-/// explorer's dedup therefore compares these encodings directly (safer
-/// than a 64-bit fingerprint: a hash collision can at worst *fail to
-/// merge*, never conflate).
+/// Every `u16`/`u32`/`u64`/`usize` write — and with it every enum
+/// discriminant, slice length and signed integer, which `Hash` routes
+/// through them — is an unsigned LEB128 varint: seven bits per byte, low
+/// group first, the high bit set on every byte but the last. A value
+/// below 128 takes one byte, `u64::MAX` (or `-1i64`) ten. Bytes and
+/// `bool`s go in as they are; `u128` keeps its 16 little-endian bytes.
 ///
-/// The encoding is fixed only for one build on one platform. Scalars
-/// hashed one at a time go through the typed `write_*` methods below:
-/// little-endian, with `usize` widened to `u64`. Integer slices do not:
-/// std's `hash_slice` sends a `Vec<u64>` or `Vec<usize>` (such as
-/// `AnonMutex::myview`) through [`Hasher::write`] as its raw in-memory
-/// bytes, native-endian and with `usize` elements at their native width.
-/// That is enough, because a state code never outlives the exploration
-/// that made it: even the disk spill keeps codes only for its own run.
+/// For `derive(Hash)` types this encoding is injective in practice: a
+/// varint is self-delimiting, and enum discriminants and slice length
+/// prefixes keep the fields prefix-free, so two structurally different
+/// values produce different byte strings. The explorer's dedup therefore
+/// compares these encodings directly (safer than a 64-bit fingerprint: a
+/// hash collision can at worst *fail to merge*, never conflate).
+///
+/// One caveat: std's `hash_slice` sends a slice of integers (a
+/// `Vec<u64>`, `Vec<usize>`, …) through [`Hasher::write`] as its raw
+/// in-memory bytes — native-endian, at full width, bypassing the
+/// varints. Such a field is still encoded injectively, only wastefully
+/// and per platform; a machine keeps its integer vectors compact by
+/// hashing them element-wise (as `anonreg`'s mutex families do with
+/// their mark vectors). A state code never outlives the exploration
+/// that made it — even the disk spill keeps codes only for its own run —
+/// so per-platform bytes would be enough.
 #[derive(Clone, Debug, Default)]
 pub struct ByteSink {
     bytes: Vec<u8>,
@@ -145,8 +153,10 @@ impl ByteSink {
         self.bytes
     }
 
-    /// The FNV-1a fingerprint of the encoded bytes — identical to
-    /// hashing the same values straight into an [`Fnv64`].
+    /// The FNV-1a fingerprint of the encoded bytes, i.e. of the *code*.
+    /// It differs from hashing the same values straight into an
+    /// [`Fnv64`], which widens integers to fixed little-endian words
+    /// instead of varints.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
@@ -178,15 +188,21 @@ impl Hasher for ByteSink {
     }
 
     fn write_u16(&mut self, i: u16) {
-        self.write(&i.to_le_bytes());
+        self.write_u64(u64::from(i));
     }
 
     fn write_u32(&mut self, i: u32) {
-        self.write(&i.to_le_bytes());
+        self.write_u64(u64::from(i));
     }
 
-    fn write_u64(&mut self, i: u64) {
-        self.write(&i.to_le_bytes());
+    /// LEB128: seven bits per byte, low group first, continuation bit set
+    /// on all but the last byte.
+    fn write_u64(&mut self, mut i: u64) {
+        while i >= 0x80 {
+            self.bytes.push(i as u8 | 0x80);
+            i >>= 7;
+        }
+        self.bytes.push(i as u8);
     }
 
     fn write_u128(&mut self, i: u128) {
@@ -365,12 +381,82 @@ mod tests {
     }
 
     #[test]
-    fn byte_sink_fingerprint_matches_fnv() {
+    fn byte_sink_fingerprint_is_fnv_of_the_code() {
         let mut sink = ByteSink::new();
         ("hello", 7u64).hash(&mut sink);
         let mut direct = Fnv64::new();
         direct.write(sink.bytes());
         assert_eq!(sink.fingerprint(), direct.finish());
+        // Hashing the values straight into an `Fnv64` widens `7u64` to
+        // eight bytes, so it fingerprints different bytes.
+        assert_ne!(
+            sink.fingerprint(),
+            crate::fingerprint::fingerprint_of(&("hello", 7u64))
+        );
+    }
+
+    fn code_of<T: Hash + ?Sized>(value: &T) -> Vec<u8> {
+        let mut sink = ByteSink::new();
+        value.hash(&mut sink);
+        sink.into_bytes()
+    }
+
+    #[test]
+    fn varint_lengths_at_the_group_boundaries() {
+        for (value, len) in [
+            (0u64, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u64::MAX, 10),
+        ] {
+            assert_eq!(code_of(&value).len(), len, "{value}");
+        }
+        assert_eq!(code_of(&-1i64).len(), 10);
+        assert_eq!(code_of(&128u64), vec![0x80, 0x01]);
+        assert_eq!(code_of(&300u32), vec![0xac, 0x02]);
+    }
+
+    #[test]
+    fn usize_encodes_like_u64() {
+        for x in [0usize, 1, 127, 128, 16_384, usize::MAX] {
+            let mut a = ByteSink::new();
+            a.write_usize(x);
+            let mut b = ByteSink::new();
+            b.write_u64(x as u64);
+            assert_eq!(a.bytes(), b.bytes(), "{x}");
+        }
+    }
+
+    /// Seeded property: distinct `(Vec<u32>, u64, Option<u64>)` values
+    /// never share a code, so varint fields stay prefix-free next to
+    /// length prefixes and discriminants. Values cluster on the varint
+    /// group boundaries, where a broken encoding would collide first.
+    #[test]
+    fn distinct_values_never_share_a_code() {
+        use crate::rng::Rng64;
+        const EDGES: [u64; 8] = [0, 1, 127, 128, 255, 16_383, 16_384, u64::MAX];
+        let mut rng = Rng64::seed_from_u64(0x1EB128);
+        let draw = |rng: &mut Rng64| match rng.gen_index(3) {
+            0 => EDGES[rng.gen_index(EDGES.len())],
+            1 => rng.next_u64() >> (7 * rng.gen_index(10)),
+            _ => rng.gen_index(4) as u64,
+        };
+        let mut seen: HashMap<Vec<u8>, (Vec<u32>, u64, Option<u64>)> = HashMap::new();
+        for _ in 0..20_000 {
+            let len = rng.gen_index(4);
+            let list: Vec<u32> = (0..len).map(|_| draw(&mut rng) as u32).collect();
+            let scalar = draw(&mut rng);
+            let opt = (rng.gen_index(2) == 1).then(|| draw(&mut rng));
+            let value = (list, scalar, opt);
+            let prior = seen.entry(code_of(&value)).or_insert_with(|| value.clone());
+            assert_eq!(*prior, value, "two values share a code");
+        }
+        assert!(
+            seen.len() > 10_000,
+            "the draw repeats too often to test much"
+        );
     }
 
     #[test]

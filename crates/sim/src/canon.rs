@@ -33,9 +33,14 @@
 //!   degrades, soundly, toward no reduction.
 //!
 //! The encoding itself reuses the `Hash` impls of machines and values via
-//! [`ByteSink`]; for `derive(Hash)` types that encoding is injective (enum
-//! discriminants and slice length prefixes keep it prefix-free), and the
-//! explorer compares full codes, never just their fingerprints.
+//! [`ByteSink`]; for `derive(Hash)` types that encoding is injective
+//! (integers are self-delimiting LEB128 varints, and enum discriminants
+//! and slice length prefixes keep the fields prefix-free), and the
+//! explorer compares full codes, never just their fingerprints. The
+//! "least image" is least in plain byte order over those varint codes;
+//! which total order is used does not matter, only that the candidate set
+//! is the same for every member of an orbit and the encoding is
+//! injective, so equal codes mean equal images.
 
 use std::hash::{Hash, Hasher};
 
@@ -129,7 +134,8 @@ where
     ///   `j`. Suppose two reachable states `X`, `Y` shared a canonical
     ///   code: some admissible `(π₁, σ₁)` image of `X` equals some
     ///   `(π₂, σ₂)` image of `Y` byte for byte. The encoding is
-    ///   prefix-free, so the slot written at target `t` matches:
+    ///   prefix-free (varint integers are self-delimiting), so the slot
+    ///   written at target `t` matches:
     ///   `X`'s slot `σ₁(t)` equals `Y`'s slot `σ₂(t)` — including the
     ///   embedded pid, forcing `σ₁ = σ₂` (pids are distinct). A
     ///   symmetry's register permutation is determined by where it

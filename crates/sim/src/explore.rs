@@ -482,6 +482,10 @@ pub struct ExploreStats {
     pub edges: u64,
     /// Dedup hits (edges whose target was already interned).
     pub dedup: u64,
+    /// Summed length of the interned state codes, in bytes: what the
+    /// dedup table's code store holds (in memory or spilled), so
+    /// `code_bytes / states` is the stored bytes per state.
+    pub code_bytes: u64,
     /// Maximum discovery depth.
     pub max_depth: u32,
 }
@@ -1470,11 +1474,17 @@ mod tests {
     }
 
     /// `run_stats` must count exactly what `run` materialises, on both
-    /// engines, with and without POR.
+    /// engines, with and without POR; `code_bytes` is the summed plain
+    /// code of the materialised states.
     #[test]
     fn run_stats_matches_graph_counts() {
+        let encoder = StateEncoder::plain();
         for por in [false, true] {
             let graph = Explorer::new(two_toys()).por(por).run().unwrap();
+            let mut codes = Vec::new();
+            for (_, sim) in graph.states() {
+                encoder.encode_into(sim, &mut codes);
+            }
             for threads in [1, 3] {
                 let stats = Explorer::new(two_toys())
                     .por(por)
@@ -1488,6 +1498,7 @@ mod tests {
                     graph.edge_count() - (graph.state_count() - 1),
                     "por={por}"
                 );
+                assert_eq!(stats.code_bytes, codes.len() as u64, "por={por}");
                 assert!(stats.max_depth > 0);
             }
         }
@@ -1615,6 +1626,7 @@ mod tests {
             assert_eq!(stats.states, baseline.states, "seed {seed}");
             assert_eq!(stats.edges, baseline.edges, "seed {seed}");
             assert_eq!(stats.dedup, baseline.dedup, "seed {seed}");
+            assert_eq!(stats.code_bytes, baseline.code_bytes, "seed {seed}");
         }
     }
 

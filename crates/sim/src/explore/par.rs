@@ -400,6 +400,8 @@ struct WorkerOut {
     expanded: u64,
     /// States this worker discovered (interned as `Fresh`).
     fresh: u64,
+    /// Summed code length of the states this worker discovered.
+    code_bytes: u64,
     /// Dedup hits this worker observed (interned as `Known`).
     dedup: u64,
     /// Work items stolen from other workers.
@@ -529,13 +531,15 @@ where
             }
             let mut table = ctx.table.batch();
             for (succ, span, fp) in batch.drain(..) {
-                let target = match table.intern(me, fp, &codes[span], should_abort) {
+                let code = &codes[span];
+                let target = match table.intern(me, fp, code, should_abort) {
                     TableProbe::Known(t) => {
                         out.dedup += 1;
                         t
                     }
                     TableProbe::Fresh(t) => {
                         out.fresh += 1;
+                        out.code_bytes += code.len() as u64;
                         // Count the child before enqueueing it so `pending`
                         // never under-reports outstanding work.
                         ctx.pending.fetch_add(1, Ordering::Relaxed);
@@ -745,6 +749,7 @@ where
         states: total as u64,
         edges: edge_total,
         dedup: outs.iter().map(|o| o.dedup).sum(),
+        code_bytes: code.len() as u64 + outs.iter().map(|o| o.code_bytes).sum::<u64>(),
         max_depth: u32::try_from(ctx.max_depth.load(Ordering::Relaxed)).unwrap_or(u32::MAX),
     };
 

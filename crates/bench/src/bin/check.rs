@@ -1492,7 +1492,7 @@ where
     match unsafe_state {
         Some(id) => {
             println!("mutual exclusion : VIOLATED (state {id})");
-            println!("  adversary schedule: {:?}", graph.schedule_to(id));
+            println!("  adversary schedule: {:?}", graph.actions_to(id));
         }
         None => println!("mutual exclusion : holds in every reachable state"),
     }
@@ -1690,7 +1690,7 @@ fn main() -> ExitCode {
                     match disagreement {
                         Some(id) => {
                             println!("agreement        : VIOLATED (state {id})");
-                            println!("  adversary schedule: {:?}", graph.schedule_to(id));
+                            println!("  adversary schedule: {:?}", graph.actions_to(id));
                         }
                         None => println!("agreement        : holds in every reachable state"),
                     }
@@ -1736,7 +1736,6 @@ fn main() -> ExitCode {
                             continue;
                         }
                         terminals += 1;
-                        let schedule = graph.schedule_to(id);
                         let mut replay_builder = Simulation::builder();
                         for i in 0..args.n {
                             replay_builder = replay_builder.process(
@@ -1747,8 +1746,13 @@ fn main() -> ExitCode {
                             );
                         }
                         let mut sim = replay_builder.build().unwrap();
-                        for &p in &schedule {
-                            sim.step(p).unwrap();
+                        for action in graph.actions_to(id) {
+                            match action {
+                                ScheduleAction::Step(p) => {
+                                    sim.step(p).unwrap();
+                                }
+                                ScheduleAction::Crash(p) => sim.crash(p).unwrap(),
+                            }
                         }
                         if anonreg::spec::check_renaming(sim.trace(), args.n as u32).is_err() {
                             violations += 1;

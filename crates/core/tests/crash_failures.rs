@@ -150,6 +150,49 @@ fn renaming_n2_uniqueness_holds_under_exhaustive_crashes() {
 }
 
 #[test]
+fn every_crash_graph_state_replays_from_its_actions() {
+    // Each state's discovering transition is stored as one compact parent
+    // record, crash bit included. With four workers, states reach the
+    // graph out of id order. Either way, replaying `actions_to(id)` from
+    // the initial configuration must land exactly on `state(id)`.
+    use anonreg_sim::explore::ScheduleAction;
+    let build = || {
+        Simulation::builder()
+            .process(AnonRenaming::new(pid(1), 2).unwrap(), View::identity(3))
+            .process(AnonRenaming::new(pid(2), 2).unwrap(), View::rotated(3, 1))
+            .build()
+            .unwrap()
+    };
+    for threads in [1, 4] {
+        let graph = Explorer::new(build())
+            .crashes(true)
+            .parallelism(threads)
+            .run()
+            .unwrap();
+        let mut crashed = 0;
+        for (id, state) in graph.states() {
+            let mut sim = build();
+            for action in graph.actions_to(id) {
+                match action {
+                    ScheduleAction::Step(p) => {
+                        sim.step(p).unwrap();
+                    }
+                    ScheduleAction::Crash(p) => {
+                        crashed += 1;
+                        sim.crash(p).unwrap();
+                    }
+                }
+            }
+            assert!(
+                sim.same_configuration(state),
+                "{threads} workers: state {id} does not replay"
+            );
+        }
+        assert!(crashed > 0, "{threads} workers: no path replayed a crash");
+    }
+}
+
+#[test]
 fn renaming_randomized_crashes_never_break_uniqueness() {
     let n = 4;
     for seed in 0..100u64 {

@@ -45,7 +45,7 @@
 use std::hash::{Hash, Hasher};
 
 use anonreg_model::canon::{view_symmetries, ByteSink, PidCanon, ViewSymmetry};
-use anonreg_model::{Machine, Pid, PidMap, SymmetryMode, View};
+use anonreg_model::{Machine, Pid, PidMap, SymmetryMode};
 
 use crate::Simulation;
 
@@ -113,10 +113,9 @@ where
     M: Machine + Eq + Hash + PidMap,
     M::Value: PidMap,
 {
-    /// An encoder for `mode` over the fixed view assignment `views` of
-    /// `initial` (views never change within one exploration — crashes
-    /// halt a slot in place — so the admissible permutation group is
-    /// computed once).
+    /// An encoder for `mode` over the view assignment of `initial`
+    /// (views never change within one exploration — crashes halt a slot
+    /// in place — so the admissible permutation group is computed once).
     ///
     /// # The trivial-orbit fast path
     ///
@@ -152,11 +151,11 @@ where
     /// the explorer falls back to the unreduced graph, which is always
     /// a sound model. `Full` renames identifiers, which un-pins the
     /// slots, so it always keeps the canonical path.
-    pub(crate) fn for_mode(mode: SymmetryMode, views: &[View], initial: &Simulation<M>) -> Self {
+    pub(crate) fn for_mode(mode: SymmetryMode, initial: &Simulation<M>) -> Self {
         match mode {
             SymmetryMode::Off => Self::plain(),
             SymmetryMode::Registers | SymmetryMode::Full => {
-                let syms = view_symmetries(views);
+                let syms = view_symmetries(initial.views());
                 if mode == SymmetryMode::Registers
                     && (group_is_trivial(&syms) || pids_pin_slots(initial))
                 {
@@ -245,10 +244,7 @@ where
     match mode {
         SymmetryMode::Off => encode_plain(sim, &mut code),
         SymmetryMode::Registers | SymmetryMode::Full => {
-            let views: Vec<View> = (0..sim.process_count())
-                .map(|i| sim.view(i).clone())
-                .collect();
-            canonical_code(sim, &view_symmetries(&views), mode, &mut code);
+            canonical_code(sim, &view_symmetries(sim.views()), mode, &mut code);
         }
     }
     code.into_boxed_slice()
@@ -462,8 +458,9 @@ where
         slot.poised.hash(&mut sink);
     }
     slot.halted.hash(&mut sink);
-    for local in 0..slot.view.len() {
-        let value = &sim.registers()[slot.view.physical(local)];
+    let view = sim.view(j);
+    for local in 0..view.len() {
+        let value = &sim.registers()[view.physical(local)];
         if rename {
             value.map_pids(blind).hash(&mut sink);
         } else {

@@ -48,9 +48,10 @@
 
 use std::fmt;
 use std::hash::Hash;
+use std::ops::Range;
 use std::sync::Arc;
 
-use anonreg_model::{Machine, PidMap, SymmetryMode, View};
+use anonreg_model::{Machine, PidMap, SymmetryMode};
 use anonreg_obs::{NoopProbe, Probe, Profiler};
 
 use crate::canon::StateEncoder;
@@ -185,16 +186,33 @@ pub enum ScheduleAction {
 
 /// The complete reachable state graph of a simulation.
 ///
-/// State `0` is the initial configuration. Each state stores the full
-/// [`Simulation`] (with an empty trace), so analyses can inspect machines
-/// and registers directly.
+/// State `0` is the initial configuration. Each state is a [`Simulation`]
+/// with an empty trace, so analyses can inspect machines and registers
+/// directly; every state shares the initial state's view table, so a
+/// stored state owns only its registers and process slots. The edges of
+/// all states sit in one arena, each state owning a contiguous span of it,
+/// and each state's discovering transition is one compact record — the
+/// graph is a handful of large allocations plus the states.
 pub struct StateGraph<M: Machine> {
     states: Vec<Simulation<M>>,
-    edges: Vec<Vec<Edge<M::Event>>>,
-    /// `parents[id]` = (predecessor state, moving process, was-a-crash);
-    /// `None` for the initial state. Used to reconstruct adversary
-    /// schedules.
-    parents: Vec<Option<(usize, usize, bool)>>,
+    /// Every edge, grouped by source state.
+    edges: Vec<Edge<M::Event>>,
+    /// `edges[spans[id]]` are the outgoing edges of state `id`.
+    spans: Vec<Range<usize>>,
+    /// `parents[id]` is the transition that discovered state `id`, used to
+    /// reconstruct adversary schedules. The initial state has none; its
+    /// record is never read.
+    parents: Vec<Parent>,
+}
+
+/// The transition that discovered a state: `proc` stepped (or, with
+/// `crash`, crashed) in state `state`. State ids fit in `u32` because the
+/// dedup table caps a run at 2²⁷ states.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Parent {
+    pub(crate) state: u32,
+    pub(crate) proc: u32,
+    pub(crate) crash: bool,
 }
 
 /// The single entry point for state-space exploration.
@@ -401,10 +419,7 @@ where
         M: PidMap,
         M::Value: PidMap,
     {
-        let views: Vec<View> = (0..self.initial.process_count())
-            .map(|i| self.initial.view(i).clone())
-            .collect();
-        self.encoder = StateEncoder::for_mode(mode, &views, &self.initial);
+        self.encoder = StateEncoder::for_mode(mode, &self.initial);
         self
     }
 
@@ -500,7 +515,7 @@ impl<M: Machine> StateGraph<M> {
     /// The total number of transitions.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
+        self.edges.len()
     }
 
     /// The configuration of state `id`.
@@ -525,7 +540,7 @@ impl<M: Machine> StateGraph<M> {
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn edges(&self, id: usize) -> &[Edge<M::Event>] {
-        &self.edges[id]
+        &self.edges[self.spans[id].clone()]
     }
 
     /// Finds a reachable state satisfying `pred` (a safety-violation
@@ -571,13 +586,15 @@ impl<M: Machine> StateGraph<M> {
     pub fn actions_to(&self, id: usize) -> Vec<ScheduleAction> {
         let mut actions = Vec::new();
         let mut cursor = id;
-        while let Some((parent, proc, crash)) = self.parents[cursor] {
+        while cursor != 0 {
+            let Parent { state, proc, crash } = self.parents[cursor];
+            let proc = proc as usize;
             actions.push(if crash {
                 ScheduleAction::Crash(proc)
             } else {
                 ScheduleAction::Step(proc)
             });
-            cursor = parent;
+            cursor = state as usize;
         }
         actions.reverse();
         actions
@@ -593,14 +610,7 @@ impl<M: Machine> StateGraph<M> {
     /// SCC-based analysis independent of discovery order.
     #[must_use]
     pub fn nontrivial_sccs(&self) -> Vec<Vec<usize>> {
-        let sccs = tarjan(self.states.len(), &self.edges);
-        canonicalize_sccs(
-            sccs.into_iter()
-                .filter(|scc| {
-                    scc.len() > 1 || self.edges[scc[0]].iter().any(|e| e.target == scc[0])
-                })
-                .collect(),
-        )
+        canonicalize_sccs(self.tarjan(|_| true))
     }
 
     /// Searches for a **fair livelock**: a strongly connected component in
@@ -617,65 +627,12 @@ impl<M: Machine> StateGraph<M> {
     /// Such a component is a complete violation of deadlock freedom: an
     /// infinite fair schedule under which a process remains stuck forever.
     /// Returns the component's state ids, or `None` if the property holds.
-    pub fn find_fair_livelock<FS, FP>(
-        &self,
-        mut stuck: FS,
-        mut is_progress: FP,
-    ) -> Option<Vec<usize>>
+    pub fn find_fair_livelock<FS, FP>(&self, stuck: FS, is_progress: FP) -> Option<Vec<usize>>
     where
         FS: FnMut(&M) -> bool,
         FP: FnMut(&M::Event) -> bool,
     {
-        let mut in_scc_bits = vec![false; self.states.len()];
-        for scc in self.nontrivial_sccs() {
-            for &id in &scc {
-                in_scc_bits[id] = true;
-            }
-            let qualifies = {
-                let in_scc = |target: usize| in_scc_bits[target];
-
-                // (2) No progress inside the component.
-                let progress_inside = scc.iter().any(|&id| {
-                    self.edges[id]
-                        .iter()
-                        .any(|e| in_scc(e.target) && e.events.iter().any(&mut is_progress))
-                });
-
-                // (1) Every live process can keep moving inside the
-                // component. Halting is permanent, so the live set is
-                // constant across an SCC; take it from the first state.
-                let probe = &self.states[scc[0]];
-                let live: Vec<usize> = (0..probe.process_count())
-                    .filter(|&p| !probe.is_halted(p))
-                    .collect();
-                let all_can_move = !live.is_empty()
-                    && live.iter().all(|&p| {
-                        scc.iter().any(|&id| {
-                            self.edges[id]
-                                .iter()
-                                .any(|e| e.proc == p && in_scc(e.target))
-                        })
-                    });
-
-                // (3) Someone is stuck.
-                let mut someone_stuck = || {
-                    scc.iter().any(|&id| {
-                        (0..self.states[id].process_count()).any(|p| {
-                            !self.states[id].is_halted(p) && stuck(self.states[id].machine(p))
-                        })
-                    })
-                };
-
-                !progress_inside && all_can_move && someone_stuck()
-            };
-            for &id in &scc {
-                in_scc_bits[id] = false;
-            }
-            if qualifies {
-                return Some(scc);
-            }
-        }
-        None
+        self.find_fair_scc(None, stuck, is_progress)
     }
 
     /// Searches for **fair starvation** of process `victim`: a strongly
@@ -695,17 +652,36 @@ impl<M: Machine> StateGraph<M> {
     /// which the paper's §8 lists as open for the memory-anonymous model —
     /// forbids it.
     ///
-    /// Implementation note: the victim's progress edges are *deleted* from
-    /// the graph first. Machines are deterministic, so the adversary cannot
-    /// make a scheduled victim skip its progress step — but it can simply
-    /// decline to schedule the victim in states where that step is next,
-    /// which is exactly what the edge deletion models. A qualifying SCC of
-    /// the remaining subgraph is then a fair infinite schedule in which the
-    /// victim steps forever without ever progressing while others do.
+    /// Implementation note: the victim's progress edges are *skipped*, as
+    /// if deleted from the graph. Machines are deterministic, so the
+    /// adversary cannot make a scheduled victim skip its progress step —
+    /// but it can simply decline to schedule the victim in states where
+    /// that step is next, which is exactly what the edge deletion models.
+    /// A qualifying SCC of the remaining subgraph is then a fair infinite
+    /// schedule in which the victim steps forever without ever progressing
+    /// while others do.
     /// Returns the component's state ids.
     pub fn find_fair_starvation<FS, FP>(
         &self,
         victim: usize,
+        stuck: FS,
+        is_progress: FP,
+    ) -> Option<Vec<usize>>
+    where
+        FS: FnMut(&M) -> bool,
+        FP: FnMut(&M::Event) -> bool,
+    {
+        self.find_fair_scc(Some(victim), stuck, is_progress)
+    }
+
+    /// Both fair-component searches: a fair livelock without a `victim`,
+    /// fair starvation of the `victim` with one. The victim's progress
+    /// edges are skipped as if deleted; a qualifying component then holds
+    /// no progress edge at all (livelock) or some, necessarily by another
+    /// process (starvation).
+    fn find_fair_scc<FS, FP>(
+        &self,
+        victim: Option<usize>,
         mut stuck: FS,
         mut is_progress: FP,
     ) -> Option<Vec<usize>>
@@ -713,71 +689,112 @@ impl<M: Machine> StateGraph<M> {
         FS: FnMut(&M) -> bool,
         FP: FnMut(&M::Event) -> bool,
     {
-        // The subgraph without the victim's progress edges.
-        let filtered: Vec<Vec<Edge<M::Event>>> = self
-            .edges
-            .iter()
-            .map(|out| {
-                out.iter()
-                    .filter(|e| !(e.proc == victim && e.events.iter().any(&mut is_progress)))
-                    .cloned()
-                    .collect()
-            })
-            .collect();
-        let sccs = canonicalize_sccs(tarjan(self.states.len(), &filtered));
-        let mut in_scc_bits = vec![false; self.states.len()];
-        for scc in sccs {
-            let has_internal_edge =
-                scc.len() > 1 || filtered[scc[0]].iter().any(|e| e.target == scc[0]);
-            if !has_internal_edge {
-                continue;
-            }
+        let mut progress = |e: &Edge<M::Event>| e.events.iter().any(&mut is_progress);
+        let sccs = self.tarjan(|e| Some(e.proc) != victim || !progress(e));
+        let mut in_scc = vec![false; self.states.len()];
+        for scc in canonicalize_sccs(sccs) {
             for &id in &scc {
-                in_scc_bits[id] = true;
+                in_scc[id] = true;
             }
-            let qualifies = {
-                let in_scc = |target: usize| in_scc_bits[target];
-
-                // Someone other than the victim keeps progressing.
-                let others_progress = scc.iter().any(|&id| {
-                    filtered[id].iter().any(|e| {
-                        e.proc != victim
-                            && in_scc(e.target)
-                            && e.events.iter().any(&mut is_progress)
-                    })
-                });
-
-                // Fairness: every live process — the victim included — can
-                // keep moving inside the filtered component.
-                let probe = &self.states[scc[0]];
-                let victim_live = victim < probe.process_count() && !probe.is_halted(victim);
-                let all_can_move = victim_live && {
-                    let live: Vec<usize> = (0..probe.process_count())
-                        .filter(|&p| !probe.is_halted(p))
-                        .collect();
-                    live.iter().all(|&p| {
-                        scc.iter()
-                            .any(|&id| filtered[id].iter().any(|e| e.proc == p && in_scc(e.target)))
-                    })
-                };
-
-                // The victim is actually stuck (e.g. in its entry section)
-                // somewhere in the component.
-                let mut victim_stuck = || {
-                    victim < probe.process_count()
-                        && scc.iter().any(|&id| stuck(self.states[id].machine(victim)))
-                };
-
-                others_progress && all_can_move && victim_stuck()
+            // The transitions that stay inside the component.
+            let inside = || {
+                scc.iter()
+                    .flat_map(|&id| self.edges(id))
+                    .filter(|e| in_scc[e.target])
             };
+            let progresses =
+                inside().any(|e| Some(e.proc) != victim && progress(e)) == victim.is_some();
+            // Fairness: every live process — at least one, the victim
+            // included — can keep moving inside the component. Halting is
+            // permanent, so the live set is constant across a component;
+            // take it from the first state.
+            let first = &self.states[scc[0]];
+            let n = first.process_count();
+            let live = (0..n).filter(|&p| !first.is_halted(p));
+            let fair = live.clone().next().is_some()
+                && victim.is_none_or(|v| v < n && !first.is_halted(v))
+                && live
+                    .clone()
+                    .all(|p| inside().any(|e| e.proc == p && (Some(p) != victim || !progress(e))));
+            // Someone (the victim, if there is one) is stuck somewhere in
+            // the component.
+            let qualifies = progresses
+                && fair
+                && scc.iter().any(|&id| {
+                    live.clone()
+                        .any(|p| victim.is_none_or(|v| v == p) && stuck(self.states[id].machine(p)))
+                });
             for &id in &scc {
-                in_scc_bits[id] = false;
+                in_scc[id] = false;
             }
             if qualifies {
                 return Some(scc);
             }
         }
         None
+    }
+
+    /// Iterative Tarjan SCC over the edges `keep` accepts, returning only
+    /// the components with an internal edge, in reverse topological
+    /// order. Per-node data is two `u32`s (ids fit; see [`Parent`]), and a
+    /// trivial component is popped without allocating.
+    fn tarjan(&self, mut keep: impl FnMut(&Edge<M::Event>) -> bool) -> Vec<Vec<usize>> {
+        // `index` is UNVISITED, then the DFS number while the node is on
+        // the Tarjan stack, then DONE once its component is emitted.
+        const UNVISITED: u32 = u32::MAX;
+        const DONE: u32 = u32::MAX - 1;
+        let n = self.states.len();
+        let (mut index, mut low) = (vec![UNVISITED; n], vec![0u32; n]);
+        let mut counter = 0u32;
+        let mut stack: Vec<u32> = Vec::new();
+        let mut sccs: Vec<Vec<usize>> = Vec::new();
+        // Explicit DFS stack: (node, arena position of its next edge).
+        let mut dfs: Vec<(usize, usize)> = Vec::new();
+        for root in 0..n {
+            if index[root] != UNVISITED {
+                continue;
+            }
+            dfs.push((root, self.spans[root].start));
+            while let Some(&mut (v, ref mut pos)) = dfs.last_mut() {
+                if index[v] == UNVISITED {
+                    (index[v], low[v]) = (counter, counter);
+                    counter += 1;
+                    stack.push(v as u32);
+                }
+                if *pos < self.spans[v].end {
+                    let edge = &self.edges[*pos];
+                    *pos += 1;
+                    if keep(edge) {
+                        let w = edge.target;
+                        if index[w] == UNVISITED {
+                            dfs.push((w, self.spans[w].start));
+                        } else if index[w] != DONE {
+                            low[v] = low[v].min(index[w]);
+                        }
+                    }
+                    continue;
+                }
+                dfs.pop();
+                if let Some(&(parent, _)) = dfs.last() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let start = stack
+                        .iter()
+                        .rposition(|&w| w as usize == v)
+                        .expect("v is stacked");
+                    let nontrivial = start + 1 < stack.len()
+                        || self.edges(v).iter().any(|e| e.target == v && keep(e));
+                    if nontrivial {
+                        sccs.push(stack[start..].iter().map(|&w| w as usize).collect());
+                    }
+                    for w in stack.drain(start..) {
+                        index[w as usize] = DONE;
+                    }
+                }
+            }
+        }
+        sccs
     }
 }
 
@@ -799,77 +816,6 @@ fn canonicalize_sccs(mut sccs: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
         scc.sort_unstable();
     }
     sccs.sort_unstable_by_key(|scc| scc.first().copied());
-    sccs
-}
-
-/// Iterative Tarjan SCC over the edge lists. Returns components in reverse
-/// topological order.
-fn tarjan<E>(n: usize, edges: &[Vec<Edge<E>>]) -> Vec<Vec<usize>> {
-    #[derive(Clone, Copy)]
-    struct NodeData {
-        index: usize,
-        lowlink: usize,
-        on_stack: bool,
-        visited: bool,
-    }
-    let mut data = vec![
-        NodeData {
-            index: 0,
-            lowlink: 0,
-            on_stack: false,
-            visited: false,
-        };
-        n
-    ];
-    let mut counter = 0usize;
-    let mut stack: Vec<usize> = Vec::new();
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-
-    // Explicit DFS stack: (node, next edge index to examine).
-    for root in 0..n {
-        if data[root].visited {
-            continue;
-        }
-        let mut dfs: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut ei)) = dfs.last_mut() {
-            if *ei == 0 && !data[v].visited {
-                data[v].visited = true;
-                data[v].index = counter;
-                data[v].lowlink = counter;
-                counter += 1;
-                data[v].on_stack = true;
-                stack.push(v);
-            }
-            if let Some(edge) = edges[v].get(*ei) {
-                *ei += 1;
-                let w = edge.target;
-                if !data[w].visited {
-                    dfs.push((w, 0));
-                } else if data[w].on_stack {
-                    data[v].lowlink = data[v].lowlink.min(data[w].index);
-                }
-            } else {
-                // Done with v.
-                dfs.pop();
-                if let Some(&(parent, _)) = dfs.last() {
-                    let low = data[v].lowlink;
-                    data[parent].lowlink = data[parent].lowlink.min(low);
-                }
-                if data[v].lowlink == data[v].index {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        data[w].on_stack = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
     sccs
 }
 
@@ -1649,7 +1595,11 @@ mod tests {
         let mut h = anonreg_model::fingerprint::Fnv64::new();
         for (id, state) in graph.states() {
             h.write_u64(state.fingerprint());
-            h.write(format!("{:?}", graph.parents[id]).as_bytes());
+            // Rendered as `Option<(parent, proc, crash)>`, the form the
+            // pinned digests were taken in.
+            let p = graph.parents[id];
+            let parent = (id != 0).then_some((p.state as usize, p.proc as usize, p.crash));
+            h.write(format!("{parent:?}").as_bytes());
             for e in graph.edges(id) {
                 h.write(format!("{}:{}:{}", e.proc, e.target, e.crash).as_bytes());
             }

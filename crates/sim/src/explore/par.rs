@@ -30,7 +30,14 @@
 //! * **States travel with the work items** — a discovered state's
 //!   `Simulation` is moved into its frontier entry and, in graph mode,
 //!   into the graph sink only after its expansion, so no state is ever
-//!   stored and then recloned for expansion.
+//!   stored and then recloned for expansion. Every state shares the
+//!   initial state's view table, so neither a successor clone nor a
+//!   stored state copies views.
+//! * **One edge arena** — a worker collects a state's edges in one reused
+//!   buffer; the sink appends them to the graph's single edge arena and
+//!   records the state's span of it, with its discovering transition as a
+//!   compact [`Parent`] record. States reach the sink in expansion order,
+//!   not id order, so the sink indexes spans, parents and states by id.
 //! * **Depth-first locally, breadth-first across workers** — each worker
 //!   pops depth-first from the back of its own deque (keeps the hot end
 //!   of the frontier in cache) and steals breadth-first from the front of
@@ -68,7 +75,7 @@ use anonreg_model::{Machine, SymmetryMode};
 use anonreg_obs::{Metric, Phase, PhaseTimer, Probe, Profiler, Span};
 
 use super::dedup::{CodeStore, FpTable, InMemory, Probe as TableProbe, SpillStore};
-use super::{Edge, ExploreConfig, ExploreError, ExploreStats, StateGraph};
+use super::{Edge, ExploreConfig, ExploreError, ExploreStats, Parent, StateGraph};
 use crate::canon::StateEncoder;
 use crate::{Simulation, StepOutcome};
 
@@ -100,9 +107,8 @@ const GAUGE_SAMPLE_EVERY: usize = 1024;
 struct WorkItem<M: Machine> {
     id: u32,
     depth: u32,
-    /// `(parent, process, crash)` of the discovering transition; `None`
-    /// for the initial state.
-    parent: Option<(u32, u32, bool)>,
+    /// The discovering transition (a placeholder for the initial state).
+    parent: Parent,
     sim: Simulation<M>,
 }
 
@@ -244,29 +250,35 @@ impl FlushedCounters {
 }
 
 /// Graph mode's output, indexed by state id and filled as states are
-/// expanded.
+/// expanded: the graph's own layout, with each state slot empty until its
+/// state arrives.
 struct GraphSink<M: Machine> {
     states: Vec<Option<Simulation<M>>>,
-    edges: Vec<Vec<Edge<M::Event>>>,
-    parents: Vec<Option<(usize, usize, bool)>>,
+    edges: Vec<Edge<M::Event>>,
+    spans: Vec<Range<usize>>,
+    parents: Vec<Parent>,
 }
 
 impl<M: Machine> GraphSink<M> {
+    /// Stores expanded state `id`, moving its edges out of `edges` into the
+    /// arena (the caller's buffer keeps its capacity).
     fn record(
         &mut self,
         id: usize,
         state: Simulation<M>,
-        parent: Option<(u32, u32, bool)>,
-        edges: Vec<Edge<M::Event>>,
+        parent: Parent,
+        edges: &mut Vec<Edge<M::Event>>,
     ) {
         if self.states.len() <= id {
             self.states.resize_with(id + 1, || None);
-            self.edges.resize_with(id + 1, Vec::new);
-            self.parents.resize(id + 1, None);
+            self.spans.resize(id + 1, 0..0);
+            self.parents.resize(id + 1, Parent::default());
         }
+        let start = self.edges.len();
+        self.edges.append(edges);
         self.states[id] = Some(state);
-        self.edges[id] = edges;
-        self.parents[id] = parent.map(|(p, proc, crash)| (p as usize, proc as usize, crash));
+        self.spans[id] = start..self.edges.len();
+        self.parents[id] = parent;
     }
 
     /// The finished graph of `total` states. `Option<Simulation>` is a
@@ -274,8 +286,8 @@ impl<M: Machine> GraphSink<M> {
     /// vector's buffer: assembly never holds a second copy of the states.
     fn into_graph(mut self, total: usize) -> StateGraph<M> {
         self.states.resize_with(total, || None);
-        self.edges.resize_with(total, Vec::new);
-        self.parents.resize(total, None);
+        self.spans.resize(total, 0..0);
+        self.parents.resize(total, Parent::default());
         StateGraph {
             states: self
                 .states
@@ -283,6 +295,7 @@ impl<M: Machine> GraphSink<M> {
                 .map(|s| s.expect("every interned state was expanded"))
                 .collect(),
             edges: self.edges,
+            spans: self.spans,
             parents: self.parents,
         }
     }
@@ -457,6 +470,8 @@ where
     let should_abort = || ctx.aborted.load(Ordering::Relaxed);
     let mut flushed = FlushedCounters::default();
     let mut successors: Vec<Successor<M>> = Vec::new();
+    // Graph mode: the expanded state's edges, moved into the sink's arena.
+    let mut edges_out: Vec<Edge<M::Event>> = Vec::new();
     // A batch's codes sit back to back in `codes`; each entry keeps the
     // byte range of its own code.
     let mut batch: Vec<(Successor<M>, Range<usize>, Fp128)> = Vec::with_capacity(FP_BATCH);
@@ -499,11 +514,6 @@ where
         }
         out.por
             .absorb(expand_into(&state, ctx.crashes, ctx.por, &mut successors));
-        let mut edges_out = Vec::with_capacity(if ctx.sink.is_some() {
-            successors.len()
-        } else {
-            0
-        });
         // Batched fingerprinting: encode + hash up to FP_BATCH successors
         // back-to-back, then drain them through the shared table in the
         // same order the unbatched loop would have used.
@@ -549,7 +559,11 @@ where
                             .push_back(WorkItem {
                                 id: t,
                                 depth: depth + 1,
-                                parent: Some((id, succ.proc as u32, succ.crash)),
+                                parent: Parent {
+                                    state: id,
+                                    proc: succ.proc as u32,
+                                    crash: succ.crash,
+                                },
                                 sim: succ.sim,
                             });
                         ctx.max_depth
@@ -575,7 +589,7 @@ where
         if let Some(sink) = &ctx.sink {
             sink.lock()
                 .expect("sink lock")
-                .record(id as usize, state, parent, edges_out);
+                .record(id as usize, state, parent, &mut edges_out);
         }
         out.expanded += 1;
         if P::ENABLED && out.expanded % GAUGE_SAMPLE_EVERY as u64 == 0 {
@@ -648,6 +662,7 @@ impl<M: Machine, S: CodeStore> Ctx<M, S> {
                 Mutex::new(GraphSink {
                     states: Vec::new(),
                     edges: Vec::new(),
+                    spans: Vec::new(),
                     parents: Vec::new(),
                 })
             }),
@@ -716,7 +731,7 @@ where
         .push_back(WorkItem {
             id: 0,
             depth: 0,
-            parent: None,
+            parent: Parent::default(),
             sim: initial,
         });
 

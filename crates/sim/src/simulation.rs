@@ -1,6 +1,7 @@
 //! The deterministic one-operation-at-a-time simulator.
 
 use std::fmt;
+use std::sync::Arc;
 
 use anonreg_model::trace::{Trace, TraceOp};
 use anonreg_model::{Machine, PidMap, Step, SymmetryMode, View};
@@ -95,13 +96,13 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Per-process execution state within a simulation.
+/// Per-process execution state within a simulation. The process's view,
+/// fixed for the run, lives in the simulation's shared view table.
 ///
 /// Public (crate-wide) so the explorer can snapshot and hash it.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Slot<M: Machine> {
     pub(crate) machine: M,
-    pub(crate) view: View,
     /// Result of the last read, to be fed into the next `resume`.
     pub(crate) pending_input: Option<M::Value>,
     /// A write the machine has issued but the adversary has not yet applied
@@ -138,7 +139,7 @@ impl<M: Machine> SimulationBuilder<M> {
     ///
     /// Returns [`SimError`] if there are no processes, if machines disagree
     /// on the register count, or if a view's size does not match it.
-    pub fn build(self) -> Result<Simulation<M>, SimError> {
+    pub fn build(mut self) -> Result<Simulation<M>, SimError> {
         let first = self
             .processes
             .first()
@@ -157,19 +158,26 @@ impl<M: Machine> SimulationBuilder<M> {
                 return Err(SimError::ViewSizeMismatch { proc });
             }
         }
+        // The views move into the shared table in one allocation; an empty
+        // view (no allocation) stands in for each until the builder drops.
+        let views = self
+            .processes
+            .iter_mut()
+            .map(|(_, view)| std::mem::replace(view, View::identity(0)))
+            .collect();
         Ok(Simulation {
             registers: vec![M::Value::default(); first],
             slots: self
                 .processes
                 .into_iter()
-                .map(|(machine, view)| Slot {
+                .map(|(machine, _)| Slot {
                     machine,
-                    view,
                     pending_input: None,
                     poised: None,
                     halted: false,
                 })
                 .collect(),
+            views,
             trace: Trace::new(),
         })
     }
@@ -190,10 +198,16 @@ impl<M: Machine> SimulationBuilder<M> {
 /// entry) *stays in the corresponding state* until the adversary schedules
 /// it again. Step budgets throughout the crate count only reads and writes,
 /// matching the paper's accounting.
+///
+/// A process's view is fixed for the whole run, so all views live in one
+/// table that clones share: cloning a simulation copies registers and
+/// slots but only bumps the views' reference count.
 #[derive(Clone)]
 pub struct Simulation<M: Machine> {
     registers: Vec<M::Value>,
     slots: Vec<Slot<M>>,
+    /// `views[proc]` is process `proc`'s view.
+    views: Arc<[View]>,
     trace: Trace<M::Value, M::Event>,
 }
 
@@ -246,7 +260,12 @@ impl<M: Machine> Simulation<M> {
     /// Panics if `proc` is out of range.
     #[must_use]
     pub fn view(&self, proc: usize) -> &View {
-        &self.slots[proc].view
+        &self.views[proc]
+    }
+
+    /// Every process's view, in slot order.
+    pub(crate) fn views(&self) -> &[View] {
+        &self.views
     }
 
     /// Returns `true` if process `proc` has halted.
@@ -276,7 +295,7 @@ impl<M: Machine> Simulation<M> {
         self.slots[proc]
             .poised
             .as_ref()
-            .map(|(local, _)| self.slots[proc].view.physical(*local))
+            .map(|(local, _)| self.views[proc].physical(*local))
     }
 
     /// The recorded trace so far.
@@ -472,7 +491,7 @@ impl<M: Machine> Simulation<M> {
     }
 
     fn apply_read(&mut self, proc: usize, local: usize) {
-        let physical = self.slots[proc].view.physical(local);
+        let physical = self.views[proc].physical(local);
         let value = self.registers[physical].clone();
         let pid = self.slots[proc].machine.pid();
         self.trace.record(
@@ -488,7 +507,7 @@ impl<M: Machine> Simulation<M> {
     }
 
     fn apply_write(&mut self, proc: usize, local: usize, value: M::Value) {
-        let physical = self.slots[proc].view.physical(local);
+        let physical = self.views[proc].physical(local);
         let pid = self.slots[proc].machine.pid();
         self.trace.record(
             proc,
@@ -533,19 +552,19 @@ impl<M: Machine> Simulation<M> {
             return Err(SimError::ProcessHalted { proc });
         }
         if let Some((local, value)) = self.slots[proc].poised.take() {
-            let physical = self.slots[proc].view.physical(local);
+            let physical = self.views[proc].physical(local);
             self.registers[physical] = value;
             return Ok((StepOutcome::Write, None));
         }
         let input = self.slots[proc].pending_input.take();
         match self.slots[proc].machine.resume(input) {
             Step::Read(local) => {
-                let physical = self.slots[proc].view.physical(local);
+                let physical = self.views[proc].physical(local);
                 self.slots[proc].pending_input = Some(self.registers[physical].clone());
                 Ok((StepOutcome::Read, None))
             }
             Step::Write(local, value) => {
-                let physical = self.slots[proc].view.physical(local);
+                let physical = self.views[proc].physical(local);
                 self.registers[physical] = value;
                 Ok((StepOutcome::Write, None))
             }
@@ -576,7 +595,7 @@ impl<M: Machine> Simulation<M> {
     }
 
     /// A stable 64-bit fingerprint of the current configuration — register
-    /// contents plus every process slot (machine state, pending read,
+    /// contents plus every process slot (machine state, view, pending read,
     /// poised write, crash flag). The trace is excluded: two executions
     /// reaching the same configuration fingerprint identically.
     ///
@@ -591,19 +610,30 @@ impl<M: Machine> Simulation<M> {
         use std::hash::{Hash, Hasher};
         let mut hasher = anonreg_model::fingerprint::Fnv64::new();
         self.registers.hash(&mut hasher);
-        self.slots.hash(&mut hasher);
+        // Each slot hashes as machine, view, pending read, poised write,
+        // crash flag: fingerprints are pinned (`tests/state_identity.rs`).
+        hasher.write_usize(self.slots.len());
+        for (slot, view) in self.slots.iter().zip(self.views.iter()) {
+            slot.machine.hash(&mut hasher);
+            view.hash(&mut hasher);
+            slot.pending_input.hash(&mut hasher);
+            slot.poised.hash(&mut hasher);
+            slot.halted.hash(&mut hasher);
+        }
         hasher.finish()
     }
 
     /// Whether two simulations are in the same configuration: identical
-    /// register contents and identical process slots. Traces are ignored,
+    /// register contents, process slots and views. Traces are ignored,
     /// matching [`Simulation::fingerprint`].
     #[must_use]
     pub fn same_configuration(&self, other: &Self) -> bool
     where
         M: Eq,
     {
-        self.registers == other.registers && self.slots == other.slots
+        self.registers == other.registers
+            && self.slots == other.slots
+            && (Arc::ptr_eq(&self.views, &other.views) || self.views == other.views)
     }
 
     /// Full slot state (machine + pending read input + poised write), for

@@ -140,7 +140,7 @@ enum Pc {
 /// }
 /// # Ok::<(), anonreg::consensus::ConsensusConfigError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct AnonConsensus {
     pub(crate) pid: Pid,
     pub(crate) n: usize,
@@ -151,6 +151,17 @@ pub struct AnonConsensus {
     j: usize,
     pc: Pc,
 }
+
+clone_in_place!(AnonConsensus {
+    pid,
+    n,
+    registers,
+    input,
+    mypref,
+    myview,
+    j,
+    pc,
+});
 
 impl AnonConsensus {
     /// Creates the Figure 2 machine for process `pid`, one of `n` processes,

@@ -55,10 +55,12 @@ pub enum ElectionEvent {
 /// }
 /// # Ok::<(), anonreg::consensus::ConsensusConfigError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct AnonElection {
     inner: AnonConsensus,
 }
+
+clone_in_place!(AnonElection { inner });
 
 impl AnonElection {
     /// Creates the election machine for process `pid`, one of `n` processes.

@@ -99,7 +99,7 @@ enum Pc {
 /// assert_eq!(view.physical(4), 4); // T is register 4 for everyone
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct HybridMutex {
     pid: Pid,
     /// Anonymous register count (the named `T` is index `m`).
@@ -123,6 +123,21 @@ pub struct HybridMutex {
     aborting: bool,
     pc: Pc,
 }
+
+clone_in_place!(HybridMutex {
+    pid,
+    m,
+    cycles_remaining,
+    myview,
+    j,
+    forced,
+    saw_foreign,
+    abort_requested,
+    abort_after,
+    rounds_this_entry,
+    aborting,
+    pc,
+});
 
 /// Builds a view for a hybrid configuration: `anon_perm` permutes the `m`
 /// anonymous registers, and the named register (index `m`) is fixed.

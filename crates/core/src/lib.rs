@@ -56,6 +56,30 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Implements `Clone` for a machine struct from its full field list, with
+/// a `clone_from` that refills each field in place.
+///
+/// `derive(Clone)` leaves `clone_from` at its default,
+/// `*self = source.clone()`, which allocates a fresh copy of every heap
+/// field. The explorer refills reused successor states with `clone_from`,
+/// so machines that own heap fields list them here instead. `clone` builds
+/// and `clone_from` destructures the struct exhaustively: a field missing
+/// from the list is a compile error, not a silently stale copy.
+macro_rules! clone_in_place {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Clone for $ty {
+            fn clone(&self) -> Self {
+                $ty { $($field: Clone::clone(&self.$field)),+ }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                let $ty { $($field),+ } = self;
+                $(Clone::clone_from($field, &source.$field);)+
+            }
+        }
+    };
+}
+
 pub mod baseline;
 pub mod codec;
 pub mod consensus;

@@ -130,8 +130,20 @@ enum Pc {
 /// encoder would store a mark in eight bytes instead of one. On
 /// little-endian hosts a fixed-width hasher such as `Fnv64` sees the
 /// same bytes either way, so its fingerprints are unchanged.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// Its `clone_from` refills the marks in place (see `clone_in_place!`).
+#[derive(PartialEq, Eq)]
 pub(crate) struct Marks(Vec<u64>);
+
+impl Clone for Marks {
+    fn clone(&self) -> Self {
+        Marks(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl Marks {
     /// `m` cleared marks.
@@ -201,7 +213,7 @@ impl fmt::Debug for Marks {
 /// assert_eq!(machine.section(), Section::Remainder);
 /// # Ok::<(), anonreg::mutex::MutexConfigError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct AnonMutex {
     pid: Pid,
     m: usize,
@@ -224,6 +236,19 @@ pub struct AnonMutex {
     aborting: bool,
     pc: Pc,
 }
+
+clone_in_place!(AnonMutex {
+    pid,
+    m,
+    cycles_remaining,
+    myview,
+    j,
+    abort_requested,
+    abort_after,
+    rounds_this_entry,
+    aborting,
+    pc,
+});
 
 impl AnonMutex {
     /// Creates the Figure 1 machine for the process `pid` with `m` anonymous

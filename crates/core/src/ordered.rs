@@ -78,7 +78,7 @@ enum Pc {
 /// assert_eq!(machine.register_count(), 4);
 /// # Ok::<(), anonreg::mutex::MutexConfigError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct OrderedMutex {
     pid: Pid,
     m: usize,
@@ -87,6 +87,15 @@ pub struct OrderedMutex {
     j: usize,
     pc: Pc,
 }
+
+clone_in_place!(OrderedMutex {
+    pid,
+    m,
+    cycles_remaining,
+    myview,
+    j,
+    pc,
+});
 
 impl OrderedMutex {
     /// Creates the machine for process `pid` with `m ≥ 2` anonymous

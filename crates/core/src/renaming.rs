@@ -141,7 +141,7 @@ enum Pc {
 /// }
 /// # Ok::<(), anonreg::renaming::RenamingConfigError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct AnonRenaming {
     pid: Pid,
     n: usize,
@@ -153,6 +153,18 @@ pub struct AnonRenaming {
     j: usize,
     pc: Pc,
 }
+
+clone_in_place!(AnonRenaming {
+    pid,
+    n,
+    registers,
+    mypref,
+    myround,
+    myhistory,
+    myview,
+    j,
+    pc,
+});
 
 impl AnonRenaming {
     /// Creates the Figure 3 machine for process `pid`, one of at most `n`

@@ -4,10 +4,12 @@
 //! of choosing registers + obstruction freedom over locks (compare
 //! `baseline::lock_consensus`, which a single crash wedges forever).
 
+use std::hash::Hash;
+
 use anonreg::consensus::AnonConsensus;
 use anonreg::renaming::AnonRenaming;
 use anonreg::spec::{check_consensus, check_renaming};
-use anonreg::{Pid, View};
+use anonreg::{Machine, Pid, PidMap, View};
 use anonreg_model::rng::Rng64;
 use anonreg_sim::obstruction::check_obstruction_freedom;
 use anonreg_sim::prelude::*;
@@ -262,4 +264,62 @@ fn lock_based_consensus_wedges_on_a_crash_but_fig2_does_not() {
         .collect();
     assert_eq!(decided.len(), 1);
     assert!([1, 2].contains(&decided[0]));
+}
+
+/// Stats mode must count exactly what graph mode stores, crash
+/// transitions included: at every worker count its state, edge and dedup
+/// counts equal the graph's, and its code bytes are the summed plain
+/// codes of the graph's states.
+fn assert_stats_match_graph<M>(family: &str, build: impl Fn() -> Simulation<M>)
+where
+    M: Machine + Eq + Hash + PidMap,
+    M::Value: PidMap,
+{
+    let graph = Explorer::new(build())
+        .max_states(2_000_000)
+        .crashes(true)
+        .run()
+        .unwrap();
+    let code_bytes: usize = graph
+        .states()
+        .map(|(_, s)| s.canonical_code(SymmetryMode::Off).len())
+        .sum();
+    for threads in [1, 2] {
+        let stats = Explorer::new(build())
+            .max_states(2_000_000)
+            .crashes(true)
+            .parallelism(threads)
+            .run_stats()
+            .unwrap();
+        let at = format!("{family} at {threads} workers");
+        assert_eq!(stats.states as usize, graph.state_count(), "{at}: states");
+        assert_eq!(stats.edges as usize, graph.edge_count(), "{at}: edges");
+        assert_eq!(
+            stats.dedup as usize,
+            graph.edge_count() - (graph.state_count() - 1),
+            "{at}: dedup"
+        );
+        assert_eq!(stats.code_bytes as usize, code_bytes, "{at}: code bytes");
+    }
+}
+
+#[test]
+fn crash_stats_count_what_the_graph_stores() {
+    assert_stats_match_graph("consensus", || {
+        Simulation::builder()
+            .process(AnonConsensus::new(pid(1), 2, 1).unwrap(), View::identity(3))
+            .process(
+                AnonConsensus::new(pid(2), 2, 2).unwrap(),
+                View::rotated(3, 1),
+            )
+            .build()
+            .unwrap()
+    });
+    assert_stats_match_graph("renaming", || {
+        Simulation::builder()
+            .process(AnonRenaming::new(pid(1), 2).unwrap(), View::identity(3))
+            .process(AnonRenaming::new(pid(2), 2).unwrap(), View::rotated(3, 1))
+            .build()
+            .unwrap()
+    });
 }

@@ -32,7 +32,8 @@ use crate::schema::STREAM_SCHEMA_VERSION;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum Phase {
-    /// Cloning a state and stepping the machine (explorer workers).
+    /// Refilling successor states from the expanded state and stepping
+    /// the machine (explorer workers).
     Step,
     /// Canonical orbit encoding of a reached state.
     Canon,

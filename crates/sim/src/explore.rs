@@ -111,7 +111,11 @@ pub enum ExploreError {
     /// down cleanly (the panicking worker's pending count was released
     /// by a drop guard, so the siblings drained and exited), but the
     /// graph is incomplete and no verdict can be drawn from it.
-    WorkerPanicked,
+    WorkerPanicked {
+        /// The panic's message, or "non-string panic payload" when the
+        /// payload was neither a `&str` nor a `String`.
+        message: String,
+    },
     /// Partial-order reduction was requested together with crash
     /// transitions. §2's crash is enabled from *every* state and is
     /// never independent of the crashing process's own pending step, so
@@ -134,8 +138,11 @@ impl fmt::Display for ExploreError {
             ExploreError::StateLimitExceeded { limit } => {
                 write!(f, "state space exceeds the limit of {limit} states")
             }
-            ExploreError::WorkerPanicked => {
-                write!(f, "an exploration worker panicked; the run was aborted")
+            ExploreError::WorkerPanicked { message } => {
+                write!(
+                    f,
+                    "an exploration worker panicked ({message}); the run was aborted"
+                )
             }
             ExploreError::PorWithCrashes => {
                 write!(
@@ -338,7 +345,9 @@ where
     }
 
     /// Spills interned canonical codes to per-worker temp files behind a
-    /// sharded in-memory LRU tier, at any parallelism.
+    /// sharded in-memory LRU tier. A spill location packs a 5-bit worker
+    /// index, so a spilling run uses at most 32 workers whatever
+    /// [`parallelism`](Explorer::parallelism) asks for.
     ///
     /// Dedup candidates are verified against the LRU, then against the
     /// spill file when the bytes are already flushed; a candidate whose
@@ -385,9 +394,9 @@ where
     /// Attaches a wall-clock [`Profiler`].
     ///
     /// Each engine worker then keeps an [`anonreg_obs::Phase`] timer —
-    /// `step` (clone + machine step), `canon` (canonical/plain encoding),
-    /// `dedup` (intern-table probe; `spill` when spilling), `steal`
-    /// (taking the next work item) and `idle` —
+    /// `step` (successor refill + machine step), `canon`
+    /// (canonical/plain encoding), `dedup` (intern-table probe; `spill`
+    /// when spilling), `steal` (taking the next work item) and `idle` —
     /// and records its per-phase self-times into the profiler when the
     /// exploration ends, including on the state-limit error path. Runs
     /// without a profiler pay nothing.
@@ -1499,8 +1508,8 @@ mod tests {
 
     /// A worker that panics mid-expansion must not hang the run: the
     /// drop guard releases its pending slot and trips the abort flag, and
-    /// the calling thread reports the panic as an error verdict, at any
-    /// worker count.
+    /// the calling thread reports the panic, with its message, as an error
+    /// verdict, at any worker count.
     #[test]
     fn worker_panic_is_reported_not_hung() {
         let build = || {
@@ -1522,18 +1531,27 @@ mod tests {
                 .build()
                 .unwrap()
         };
+        let assert_grenade = |err: ExploreError, threads: usize| {
+            let ExploreError::WorkerPanicked { message } = &err else {
+                panic!("{threads} threads: {err:?}");
+            };
+            assert!(
+                message.contains("grenade went off"),
+                "{threads} threads: {message}"
+            );
+            assert!(err.to_string().contains("grenade went off"), "{err}");
+        };
         for threads in [1, 2, 4] {
             let err = Explorer::new(build())
                 .parallelism(threads)
                 .run()
                 .unwrap_err();
-            assert_eq!(err, ExploreError::WorkerPanicked, "{threads} threads");
-            assert!(!err.to_string().is_empty());
+            assert_grenade(err, threads);
             let err = Explorer::new(build())
                 .parallelism(threads)
                 .run_stats()
                 .unwrap_err();
-            assert_eq!(err, ExploreError::WorkerPanicked, "{threads} threads");
+            assert_grenade(err, threads);
         }
     }
 
@@ -1627,6 +1645,65 @@ mod tests {
                 "crashes={crashes} por={por}"
             );
         }
+    }
+
+    /// Partial-order reduction keeps the one-worker numbering pinned on a
+    /// real family too: Figure 1's mutex, `m = 3`, second view rotated.
+    #[test]
+    fn one_worker_por_numbering_is_pinned_on_the_mutex() {
+        use anonreg::mutex::AnonMutex;
+        let build = || {
+            Simulation::builder()
+                .process(AnonMutex::new(pid(1), 3).unwrap(), View::identity(3))
+                .process(AnonMutex::new(pid(2), 3).unwrap(), View::rotated(3, 1))
+                .build()
+                .unwrap()
+        };
+        let graph = Explorer::new(build()).por(true).run().unwrap();
+        let full = Explorer::new(build()).run_stats().unwrap();
+        assert!((graph.state_count() as u64) < full.states, "POR pruned");
+        assert_eq!(numbering_digest(&graph), 0x6411_8096_b99a_7804);
+    }
+
+    /// Refilling a warm state with `clone_from` reuses its registers,
+    /// slots and machine buffers: the refill allocates nothing, in either
+    /// direction.
+    #[test]
+    fn refilling_a_warm_simulation_allocates_nothing() {
+        use anonreg::consensus::AnonConsensus;
+        use anonreg::mutex::AnonMutex;
+        use dedup::counting::allocations;
+
+        fn refill<M: Machine + Eq>(family: &str, initial: &Simulation<M>) {
+            let mut moved = initial.clone();
+            for proc in [0, 1, 0, 0, 1, 1, 0] {
+                moved.step_quiet(proc).unwrap();
+            }
+            assert!(!moved.same_configuration(initial), "{family}");
+            let mut warm = initial.clone();
+            let ((), allocated) = allocations(|| warm.clone_from(&moved));
+            assert_eq!(allocated, (0, 0), "{family}: refill from a successor");
+            assert!(warm.same_configuration(&moved), "{family}");
+            let ((), allocated) = allocations(|| warm.clone_from(initial));
+            assert_eq!(allocated, (0, 0), "{family}: refill from the initial state");
+            assert!(warm.same_configuration(initial), "{family}");
+        }
+
+        let mutex = Simulation::builder()
+            .process(AnonMutex::new(pid(1), 3).unwrap(), View::identity(3))
+            .process(AnonMutex::new(pid(2), 3).unwrap(), View::rotated(3, 1))
+            .build()
+            .unwrap();
+        refill("mutex", &mutex);
+        let consensus = Simulation::builder()
+            .process(AnonConsensus::new(pid(1), 2, 1).unwrap(), View::identity(3))
+            .process(
+                AnonConsensus::new(pid(2), 2, 2).unwrap(),
+                View::rotated(3, 1),
+            )
+            .build()
+            .unwrap();
+        refill("consensus", &consensus);
     }
 
     /// Plain encoding appends into the caller's buffer: once the buffer

@@ -27,12 +27,19 @@
 //!   only when it claims a new id. A dedup hit allocates nothing, so the
 //!   hot loop does not churn the allocator (with two workers that churn
 //!   convoyed on malloc's arena locks).
-//! * **States travel with the work items** — a discovered state's
-//!   `Simulation` is moved into its frontier entry and, in graph mode,
-//!   into the graph sink only after its expansion, so no state is ever
-//!   stored and then recloned for expansion. Every state shares the
-//!   initial state's view table, so neither a successor clone nor a
-//!   stored state copies views.
+//! * **Successors are refilled in place** — each worker keeps a pool of
+//!   successor entries across expansions and refills each from the
+//!   expanded state with `clone_from`, which reuses the entry's register,
+//!   slot and machine buffers, before stepping it. An entry's
+//!   `Simulation` leaves the pool only when the table says `Fresh`; a
+//!   dedup hit frees nothing. In stats mode the expanded state, no longer
+//!   needed, refills the hole a fresh successor left. Every state shares
+//!   the initial state's view table, and a refill leaves that table's
+//!   reference count alone.
+//! * **Fresh states travel with the work items** — a fresh successor's
+//!   `Simulation` is moved out of the pool into its frontier entry and,
+//!   in graph mode, into the graph sink only after its expansion, so no
+//!   state is ever stored and then recloned for expansion.
 //! * **One edge arena** — a worker collects a state's edges in one reused
 //!   buffer; the sink appends them to the graph's single edge arena and
 //!   records the state's span of it, with its discovering transition as a
@@ -62,6 +69,7 @@
 //! labels) is racy, but the orbit set — state and edge counts, and every
 //! verdict — is deterministic.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::hash::Hash;
 use std::ops::Range;
@@ -112,63 +120,100 @@ struct WorkItem<M: Machine> {
     sim: Simulation<M>,
 }
 
-/// One computed successor of a state, before interning.
+/// One entry of a worker's successor pool: a computed successor of the
+/// state being expanded, before interning. Entries outlive expansions, so
+/// the next expansion refills `sim` in place.
 struct Successor<M: Machine> {
     proc: usize,
     crash: bool,
-    sim: Simulation<M>,
+    /// `None` once the state moved into a work item as a fresh state,
+    /// until the entry is refilled.
+    sim: Option<Simulation<M>>,
     event: Option<M::Event>,
     /// The step was a register-free local step (event announcement or
     /// halt) — membership in the state's ample set.
     local: bool,
 }
 
-/// Expands `state` into `out` (cleared first): one successor per live
-/// process, plus one crash successor each under the crash model. With
-/// `por`, and when at least one process is poised at a register-free
-/// local step, only those processes' successors are kept (the ample
-/// set — see [`Explorer::por`](super::Explorer::por) for why this is sound and why the ample
-/// set is *all* such processes, never fewer). Returns how many
-/// successors were pruned.
+/// Points pool entry `at` at a copy of `state` for `proc`'s move and
+/// returns that copy: refilled in place with `clone_from` when the entry
+/// still holds a state, cloned into an empty or new entry otherwise.
+fn refill<'p, M: Machine>(
+    pool: &'p mut Vec<Successor<M>>,
+    at: usize,
+    state: &Simulation<M>,
+    proc: usize,
+    crash: bool,
+) -> &'p mut Successor<M> {
+    if at == pool.len() {
+        pool.push(Successor {
+            proc,
+            crash,
+            sim: Some(state.clone()),
+            event: None,
+            local: false,
+        });
+    } else {
+        let succ = &mut pool[at];
+        succ.proc = proc;
+        succ.crash = crash;
+        succ.event = None;
+        succ.local = false;
+        match &mut succ.sim {
+            Some(sim) => sim.clone_from(state),
+            empty @ None => *empty = Some(state.clone()),
+        }
+    }
+    &mut pool[at]
+}
+
+/// Expands `state` into the first entries of `pool`: one successor per
+/// live process, plus one crash successor each under the crash model.
+/// With `por`, and when at least one process is poised at a
+/// register-free local step, only those processes' successors are kept
+/// (the ample set — see [`Explorer::por`](super::Explorer::por) for why
+/// this is sound and why the ample set is *all* such processes, never
+/// fewer): they move to the front of the pool in expansion order.
+/// Returns `(live, pruned)`: the successors are `pool[..live]`, and
+/// `pruned` more were cut by the ample set. Entries past `live` keep
+/// their states for later refills.
 fn expand_into<M: Machine + Eq>(
     state: &Simulation<M>,
     crashes: bool,
     por: bool,
-    out: &mut Vec<Successor<M>>,
-) -> u64 {
-    out.clear();
+    pool: &mut Vec<Successor<M>>,
+) -> (usize, u64) {
+    let mut live = 0;
     for proc in 0..state.process_count() {
         if state.is_halted(proc) {
             continue;
         }
-        let mut sim = state.clone();
+        let succ = refill(pool, live, state, proc, false);
+        let sim = succ.sim.as_mut().expect("refill fills the entry");
         let (outcome, event) = sim.step_quiet(proc).expect("slot is valid and not halted");
-        let local = matches!(outcome, StepOutcome::Event | StepOutcome::Halted);
-        out.push(Successor {
-            proc,
-            crash: false,
-            sim,
-            event,
-            local,
-        });
+        succ.event = event;
+        succ.local = matches!(outcome, StepOutcome::Event | StepOutcome::Halted);
+        live += 1;
         if crashes {
-            let mut sim = state.clone();
+            let succ = refill(pool, live, state, proc, true);
+            let sim = succ.sim.as_mut().expect("refill fills the entry");
             sim.crash_quiet(proc).expect("slot is valid");
-            out.push(Successor {
-                proc,
-                crash: true,
-                sim,
-                event: None,
-                local: false,
-            });
+            live += 1;
         }
     }
-    if por && out.iter().any(|s| s.local) {
-        let before = out.len();
-        out.retain(|s| s.local);
-        (before - out.len()) as u64
+    if por && pool[..live].iter().any(|s| s.local) {
+        // A stable partition: the local entries keep their order, exactly
+        // the successors `retain` would keep.
+        let mut kept = 0;
+        for i in 0..live {
+            if pool[i].local {
+                pool.swap(kept, i);
+                kept += 1;
+            }
+        }
+        (kept, (live - kept) as u64)
     } else {
-        0
+        (live, 0)
     }
 }
 
@@ -469,12 +514,14 @@ where
     let mut encoding = Encoding::new::<P>(encoder);
     let should_abort = || ctx.aborted.load(Ordering::Relaxed);
     let mut flushed = FlushedCounters::default();
+    // The successor pool, grown on the first expansion and refilled in
+    // place by every later one.
     let mut successors: Vec<Successor<M>> = Vec::new();
     // Graph mode: the expanded state's edges, moved into the sink's arena.
     let mut edges_out: Vec<Edge<M::Event>> = Vec::new();
-    // A batch's codes sit back to back in `codes`; each entry keeps the
-    // byte range of its own code.
-    let mut batch: Vec<(Successor<M>, Range<usize>, Fp128)> = Vec::with_capacity(FP_BATCH);
+    // A batch's codes sit back to back in `codes`; each entry keeps its
+    // successor's pool index and the byte range of its own code.
+    let mut batch: Vec<(usize, Range<usize>, Fp128)> = Vec::with_capacity(FP_BATCH);
     let mut codes: Vec<u8> = Vec::new();
     let mut idle = 0u32;
     'outer: while !ctx.aborted.load(Ordering::Relaxed) {
@@ -512,35 +559,33 @@ where
         if let Some(t) = timer.as_mut() {
             t.switch(Phase::Step);
         }
-        out.por
-            .absorb(expand_into(&state, ctx.crashes, ctx.por, &mut successors));
+        let (live, pruned) = expand_into(&state, ctx.crashes, ctx.por, &mut successors);
+        out.por.absorb(pruned);
         // Batched fingerprinting: encode + hash up to FP_BATCH successors
         // back-to-back, then drain them through the shared table in the
         // same order the unbatched loop would have used.
-        let mut pending_succs = successors.drain(..);
-        loop {
+        let mut next = 0;
+        while next < live {
             if let Some(t) = timer.as_mut() {
                 t.switch(Phase::Canon);
             }
             batch.clear();
             codes.clear();
-            while batch.len() < FP_BATCH {
-                let Some(succ) = pending_succs.next() else {
-                    break;
-                };
+            let end = live.min(next + FP_BATCH);
+            for (i, succ) in successors[..end].iter().enumerate().skip(next) {
+                let sim = succ.sim.as_ref().expect("live entries are filled");
                 let start = codes.len();
-                encoding.encode_into(&succ.sim, &mut codes);
+                encoding.encode_into(sim, &mut codes);
                 let fp = fp128(&codes[start..]);
-                batch.push((succ, start..codes.len(), fp));
+                batch.push((i, start..codes.len(), fp));
             }
-            if batch.is_empty() {
-                break;
-            }
+            next = end;
             if let Some(t) = timer.as_mut() {
                 t.switch(ctx.intern_phase);
             }
             let mut table = ctx.table.batch();
-            for (succ, span, fp) in batch.drain(..) {
+            for (i, span, fp) in batch.drain(..) {
+                let succ = &mut successors[i];
                 let code = &codes[span];
                 let target = match table.intern(me, fp, code, should_abort) {
                     TableProbe::Known(t) => {
@@ -564,7 +609,7 @@ where
                                     proc: succ.proc as u32,
                                     crash: succ.crash,
                                 },
-                                sim: succ.sim,
+                                sim: succ.sim.take().expect("live entries are filled"),
                             });
                         ctx.max_depth
                             .fetch_max(u64::from(depth) + 1, Ordering::Relaxed);
@@ -580,7 +625,7 @@ where
                     edges_out.push(Edge {
                         proc: succ.proc,
                         target: target as usize,
-                        events: succ.event.into_iter().collect(),
+                        events: succ.event.take().into_iter().collect(),
                         crash: succ.crash,
                     });
                 }
@@ -590,6 +635,10 @@ where
             sink.lock()
                 .expect("sink lock")
                 .record(id as usize, state, parent, &mut edges_out);
+        } else if let Some(hole) = successors.iter_mut().find(|s| s.sim.is_none()) {
+            // Stats mode: the expanded state refills the hole a fresh
+            // successor left, so the pool never outgrows one expansion.
+            hole.sim = Some(state);
         }
         out.expanded += 1;
         if P::ENABLED && out.expanded % GAUGE_SAMPLE_EVERY as u64 == 0 {
@@ -755,8 +804,16 @@ where
                 .collect()
         })
     };
-    let panicked = joins.iter().any(std::thread::Result::is_err);
-    let outs: Vec<WorkerOut> = joins.into_iter().filter_map(Result::ok).collect();
+    let mut panicked = None;
+    let mut outs: Vec<WorkerOut> = Vec::with_capacity(joins.len());
+    for join in joins {
+        match join {
+            Ok(out) => outs.push(out),
+            Err(payload) => {
+                panicked.get_or_insert_with(|| panic_message(payload.as_ref()));
+            }
+        }
+    }
 
     let total = ctx.table.len();
     let edge_total: u64 = outs.iter().map(|o| o.edge_total).sum();
@@ -782,8 +839,8 @@ where
     #[cfg(test)]
     TABLE_SLOTS.set(ctx.table.capacity());
 
-    if panicked {
-        return Err(ExploreError::WorkerPanicked);
+    if let Some(message) = panicked {
+        return Err(ExploreError::WorkerPanicked { message });
     }
     if ctx.aborted.load(Ordering::Relaxed) {
         return Err(ExploreError::StateLimitExceeded {
@@ -794,6 +851,18 @@ where
         .sink
         .map(|sink| sink.into_inner().expect("sink lock").into_graph(total));
     Ok((graph, stats))
+}
+
+/// A worker's panic message: the `&str` or `String` payload that `panic!`
+/// and `assert!` carry, else a fixed placeholder.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(message) = payload.downcast_ref::<&str>() {
+        (*message).to_owned()
+    } else if let Some(message) = payload.downcast_ref::<String>() {
+        message.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
 }
 
 /// Emits the counter remainders the workers did not flush themselves:

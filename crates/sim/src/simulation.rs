@@ -100,7 +100,7 @@ impl std::error::Error for SimError {}
 /// fixed for the run, lives in the simulation's shared view table.
 ///
 /// Public (crate-wide) so the explorer can snapshot and hash it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Slot<M: Machine> {
     pub(crate) machine: M,
     /// Result of the last read, to be fed into the next `resume`.
@@ -109,6 +109,33 @@ pub(crate) struct Slot<M: Machine> {
     /// — the process *covers* that register (§6.1).
     pub(crate) poised: Option<(usize, M::Value)>,
     pub(crate) halted: bool,
+}
+
+/// Field by field, so `clone_from` refills the machine in place; the
+/// exhaustive struct literal and destructuring make a new field a compile
+/// error here.
+impl<M: Machine> Clone for Slot<M> {
+    fn clone(&self) -> Self {
+        Slot {
+            machine: self.machine.clone(),
+            pending_input: self.pending_input.clone(),
+            poised: self.poised.clone(),
+            halted: self.halted,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Slot {
+            machine,
+            pending_input,
+            poised,
+            halted,
+        } = self;
+        machine.clone_from(&source.machine);
+        pending_input.clone_from(&source.pending_input);
+        poised.clone_from(&source.poised);
+        *halted = source.halted;
+    }
 }
 
 /// Builder for [`Simulation`]; add processes with their views, then
@@ -201,14 +228,44 @@ impl<M: Machine> SimulationBuilder<M> {
 ///
 /// A process's view is fixed for the whole run, so all views live in one
 /// table that clones share: cloning a simulation copies registers and
-/// slots but only bumps the views' reference count.
-#[derive(Clone)]
+/// slots but only bumps the views' reference count. [`Clone::clone_from`]
+/// refills registers, slots and machines in the target's own buffers and
+/// leaves the view table alone when both already share it, so refilling
+/// a warm state from another state of the same run allocates nothing.
 pub struct Simulation<M: Machine> {
     registers: Vec<M::Value>,
     slots: Vec<Slot<M>>,
     /// `views[proc]` is process `proc`'s view.
     views: Arc<[View]>,
     trace: Trace<M::Value, M::Event>,
+}
+
+impl<M: Machine> Clone for Simulation<M> {
+    fn clone(&self) -> Self {
+        Simulation {
+            registers: self.registers.clone(),
+            slots: self.slots.clone(),
+            views: Arc::clone(&self.views),
+            trace: self.trace.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Simulation {
+            registers,
+            slots,
+            views,
+            trace,
+        } = self;
+        registers.clone_from(&source.registers);
+        slots.clone_from(&source.slots);
+        // Re-pointing a shared table would write its refcount's cache
+        // line, which every worker's states share.
+        if !Arc::ptr_eq(views, &source.views) {
+            *views = Arc::clone(&source.views);
+        }
+        trace.clone_from(&source.trace);
+    }
 }
 
 impl<M: Machine> Simulation<M> {

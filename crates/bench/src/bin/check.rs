@@ -66,7 +66,8 @@ fn usage() -> ExitCode {
          ORD in {{relaxed,acquire,release,seqcst}}\n\
          \x20      check obs [--m N] [--shift N] [--entries N] [--max-states N] \
          [--json FILE] [--trace FILE]   probed run + contention heatmap\n\
-         \x20      check obs validate FILE            schema-validate a JSONL file\n\
+         \x20      check obs validate FILE            schema-validate a JSONL file \
+         (a stream must be whole and in order)\n\
          \x20      check obs replay FILE              replay an exported trace"
     );
     ExitCode::FAILURE
@@ -144,6 +145,12 @@ fn obs_main(raw: &[String]) -> ExitCode {
                 }
             };
             return match validate_jsonl(&text) {
+                // A crashed or misconfigured run can leave an empty file,
+                // which no artifact check should pass.
+                Ok(0) => {
+                    eprintln!("{path}: INVALID: no records");
+                    ExitCode::FAILURE
+                }
                 Ok(lines) => {
                     let (v1, skipped) =
                         anonreg_obs::schema::validate_jsonl_v1(&text).unwrap_or((lines, 0));

@@ -12,12 +12,10 @@
 //! so a v1-only consumer that skips `v:2` lines still reads the final
 //! state (see [`crate::schema::validate_jsonl_v1`]).
 //!
-//! Replaying every delta in order reconstructs the final snapshot
-//! exactly: [`DeltaReplayer`] implements that, and [`replay_stream`]
-//! checks a whole stream file end to end. [`stream_status`] classifies
-//! a stream file as complete or detectably truncated (a killed run
-//! leaves either a partial last line or no end-marker — never a file
-//! that silently looks finished).
+//! A killed run leaves a partial last line or no end-marker, never a
+//! file that looks finished: [`crate::schema::validate_jsonl`] (behind
+//! `check obs validate`) rejects such a stream, and one whose records
+//! were reordered.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -32,7 +30,7 @@ use crate::emit::snapshot_to_jsonl;
 use crate::json::Json;
 use crate::probe::{MemProbe, Metric, MetricsSnapshot};
 use crate::profile::Profiler;
-use crate::schema::{meta_line, SchemaError, SCHEMA_VERSION, STREAM_SCHEMA_VERSION};
+use crate::schema::{meta_line, STREAM_SCHEMA_VERSION};
 
 fn v2_envelope(t: &str, seq: u64, run: &str, elapsed_ms: u64) -> Vec<(&'static str, Json)> {
     vec![
@@ -44,8 +42,8 @@ fn v2_envelope(t: &str, seq: u64, run: &str, elapsed_ms: u64) -> Vec<(&'static s
     ]
 }
 
-/// Trims trailing empty buckets, mirroring the v1 `hist` emitter so
-/// replayed and final representations agree byte for byte.
+/// Trims trailing empty buckets, mirroring the v1 `hist` emitter so a
+/// delta's histogram and the final snapshot's agree byte for byte.
 fn trim_buckets(buckets: &[u64]) -> Vec<u64> {
     let filled = buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
     buckets[..filled].to_vec()
@@ -70,7 +68,7 @@ pub fn delta_record(
         .iter()
         .filter_map(|&(m, k, v)| {
             let before = prev_counters.get(&(m, k)).copied();
-            // New keys are reported even at zero so a replayer learns
+            // New keys are reported even at zero so a reader learns
             // about them; known keys only when they moved.
             let delta = v - before.unwrap_or(0);
             (before.is_none() || delta > 0).then(|| {
@@ -408,9 +406,10 @@ impl StreamExporter {
 
 impl Drop for StreamExporter {
     fn drop(&mut self) {
-        // A dropped (not finished) exporter still stops its thread; the
-        // stream is left without an end-marker, i.e. detectably
-        // truncated — see [`stream_status`].
+        // A dropped (not finished) exporter still stops its thread, which
+        // seals the stream as `finish` does but loses any write error.
+        // Only a killed process leaves the stream without its end-marker,
+        // which `check obs validate` rejects as truncated.
         self.stop.store(true, Ordering::Release);
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
@@ -490,421 +489,6 @@ fn stream_loop(
     })
 }
 
-/// Histogram stats as reconstructed by replay: `(count, sum, min, max,
-/// trimmed buckets)`.
-pub type ReplayHist = (u64, u64, u64, u64, Vec<u64>);
-
-/// A fully string-keyed snapshot reconstruction — the common ground on
-/// which a delta replay and the stream's trailing v1 snapshot can be
-/// compared exactly (v1 lines carry wire names, not [`Metric`] values).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ReplaySnapshot {
-    /// Counter totals by `(wire name, key)`.
-    pub counters: BTreeMap<(String, u64), u64>,
-    /// Gauge stats `(last, max, samples)` by `(wire name, key)`.
-    pub gauges: BTreeMap<(String, u64), (u64, u64, u64)>,
-    /// Histogram stats `(count, sum, min, max, trimmed buckets)` by
-    /// `(wire name, key)`.
-    pub hists: BTreeMap<(String, u64), ReplayHist>,
-    /// Spans `(wire name, key, length)` in close order.
-    pub spans: Vec<(String, u64, u64)>,
-    /// Events `(name, fields)` in announce order.
-    pub events: Vec<(String, Vec<(String, u64)>)>,
-    /// Spans dropped beyond the probe cap.
-    pub dropped_spans: u64,
-    /// Events dropped beyond the probe cap.
-    pub dropped_events: u64,
-}
-
-fn bad(line: usize, reason: impl Into<String>) -> SchemaError {
-    SchemaError {
-        line,
-        reason: reason.into(),
-    }
-}
-
-fn field_u64(obj: &Json, field: &str, line: usize) -> Result<u64, SchemaError> {
-    obj.get(field)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad(line, format!("missing or non-u64 field `{field}`")))
-}
-
-fn field_str(obj: &Json, field: &str, line: usize) -> Result<String, SchemaError> {
-    obj.get(field)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| bad(line, format!("missing or non-string field `{field}`")))
-}
-
-fn event_fields(obj: &Json, line: usize) -> Result<Vec<(String, u64)>, SchemaError> {
-    match obj.get("fields") {
-        Some(Json::Obj(entries)) => entries
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|v| (k.clone(), v))
-                    .ok_or_else(|| bad(line, "non-u64 value in `fields`"))
-            })
-            .collect(),
-        _ => Err(bad(line, "missing or non-object field `fields`")),
-    }
-}
-
-impl ReplaySnapshot {
-    /// Parses the v1 snapshot section of a stream (or any v1 JSONL
-    /// document): `counter`/`gauge`/`hist`/`span`/`event` lines are
-    /// loaded, the synthetic `records_dropped` event becomes the drop
-    /// counters, and every other v1 line type is ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] for malformed JSON or field shapes.
-    pub fn from_v1_jsonl(text: &str) -> Result<ReplaySnapshot, SchemaError> {
-        let mut snap = ReplaySnapshot::default();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
-            if raw.trim().is_empty() {
-                continue;
-            }
-            let value = Json::parse(raw).map_err(|e| {
-                bad(
-                    line,
-                    format!("invalid JSON at byte {}: {}", e.pos, e.reason),
-                )
-            })?;
-            if field_u64(&value, "v", line)? != SCHEMA_VERSION {
-                continue;
-            }
-            snap.load_v1_value(&value, line)?;
-        }
-        Ok(snap)
-    }
-
-    fn load_v1_value(&mut self, value: &Json, line: usize) -> Result<(), SchemaError> {
-        match field_str(value, "t", line)?.as_str() {
-            "counter" => {
-                let key = (
-                    field_str(value, "name", line)?,
-                    field_u64(value, "key", line)?,
-                );
-                *self.counters.entry(key).or_insert(0) += field_u64(value, "value", line)?;
-            }
-            "gauge" => {
-                let key = (
-                    field_str(value, "name", line)?,
-                    field_u64(value, "key", line)?,
-                );
-                self.gauges.insert(
-                    key,
-                    (
-                        field_u64(value, "last", line)?,
-                        field_u64(value, "max", line)?,
-                        field_u64(value, "samples", line)?,
-                    ),
-                );
-            }
-            "hist" => {
-                let key = (
-                    field_str(value, "name", line)?,
-                    field_u64(value, "key", line)?,
-                );
-                let buckets = value
-                    .get("buckets")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad(line, "missing or non-array field `buckets`"))?
-                    .iter()
-                    .map(|b| {
-                        b.as_u64()
-                            .ok_or_else(|| bad(line, "non-u64 entry in `buckets`"))
-                    })
-                    .collect::<Result<Vec<u64>, _>>()?;
-                self.hists.insert(
-                    key,
-                    (
-                        field_u64(value, "count", line)?,
-                        field_u64(value, "sum", line)?,
-                        field_u64(value, "min", line)?,
-                        field_u64(value, "max", line)?,
-                        trim_buckets(&buckets),
-                    ),
-                );
-            }
-            "span" => {
-                self.spans.push((
-                    field_str(value, "name", line)?,
-                    field_u64(value, "key", line)?,
-                    field_u64(value, "length", line)?,
-                ));
-            }
-            "event" => {
-                let name = field_str(value, "name", line)?;
-                let fields = event_fields(value, line)?;
-                if name == "records_dropped" {
-                    // The v1 emitter folds the drop counters into a
-                    // synthetic event; unfold it here.
-                    for (k, v) in fields {
-                        match k.as_str() {
-                            "spans" => self.dropped_spans = v,
-                            "events" => self.dropped_events = v,
-                            _ => {}
-                        }
-                    }
-                } else {
-                    self.events.push((name, fields));
-                }
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-}
-
-/// Reconstructs a [`ReplaySnapshot`] by applying `delta` records in
-/// sequence order. Counters accumulate, gauge/hist stats overwrite,
-/// spans/events append — the exact inverse of [`delta_record`].
-#[derive(Debug, Default)]
-pub struct DeltaReplayer {
-    snap: ReplaySnapshot,
-    next_seq: Option<u64>,
-    applied: u64,
-}
-
-impl DeltaReplayer {
-    /// Creates an empty replayer.
-    #[must_use]
-    pub fn new() -> Self {
-        DeltaReplayer::default()
-    }
-
-    /// Number of delta records applied so far.
-    #[must_use]
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    /// Applies one parsed v2 `delta` record.
-    ///
-    /// # Errors
-    ///
-    /// Rejects malformed records and sequence-number regressions (a
-    /// `seq` at or below the previous delta's means a corrupt or
-    /// re-ordered stream).
-    pub fn apply(&mut self, delta: &Json, line: usize) -> Result<(), SchemaError> {
-        let seq = field_u64(delta, "seq", line)?;
-        if let Some(prev) = self.next_seq {
-            if seq < prev {
-                return Err(bad(
-                    line,
-                    format!("sequence regression: {seq} after {prev}"),
-                ));
-            }
-        }
-        self.next_seq = Some(seq + 1);
-        for entry in delta.get("counters").and_then(Json::as_arr).unwrap_or(&[]) {
-            let key = (
-                field_str(entry, "name", line)?,
-                field_u64(entry, "key", line)?,
-            );
-            *self.snap.counters.entry(key).or_insert(0) += field_u64(entry, "delta", line)?;
-        }
-        for entry in delta.get("gauges").and_then(Json::as_arr).unwrap_or(&[]) {
-            let key = (
-                field_str(entry, "name", line)?,
-                field_u64(entry, "key", line)?,
-            );
-            self.snap.gauges.insert(
-                key,
-                (
-                    field_u64(entry, "last", line)?,
-                    field_u64(entry, "max", line)?,
-                    field_u64(entry, "samples", line)?,
-                ),
-            );
-        }
-        for entry in delta.get("hists").and_then(Json::as_arr).unwrap_or(&[]) {
-            let key = (
-                field_str(entry, "name", line)?,
-                field_u64(entry, "key", line)?,
-            );
-            let buckets = entry
-                .get("buckets")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad(line, "missing or non-array field `buckets`"))?
-                .iter()
-                .map(|b| {
-                    b.as_u64()
-                        .ok_or_else(|| bad(line, "non-u64 entry in `buckets`"))
-                })
-                .collect::<Result<Vec<u64>, _>>()?;
-            self.snap.hists.insert(
-                key,
-                (
-                    field_u64(entry, "count", line)?,
-                    field_u64(entry, "sum", line)?,
-                    field_u64(entry, "min", line)?,
-                    field_u64(entry, "max", line)?,
-                    trim_buckets(&buckets),
-                ),
-            );
-        }
-        for entry in delta.get("spans").and_then(Json::as_arr).unwrap_or(&[]) {
-            self.snap.spans.push((
-                field_str(entry, "name", line)?,
-                field_u64(entry, "key", line)?,
-                field_u64(entry, "length", line)?,
-            ));
-        }
-        for entry in delta.get("events").and_then(Json::as_arr).unwrap_or(&[]) {
-            self.snap
-                .events
-                .push((field_str(entry, "name", line)?, event_fields(entry, line)?));
-        }
-        if let Some(v) = delta.get("dropped_spans").and_then(Json::as_u64) {
-            self.snap.dropped_spans = v;
-        }
-        if let Some(v) = delta.get("dropped_events").and_then(Json::as_u64) {
-            self.snap.dropped_events = v;
-        }
-        self.applied += 1;
-        Ok(())
-    }
-
-    /// The reconstructed snapshot.
-    #[must_use]
-    pub fn finish(self) -> ReplaySnapshot {
-        self.snap
-    }
-}
-
-/// The outcome of replaying a whole stream file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StreamReplay {
-    /// The snapshot reconstructed from the delta records alone.
-    pub replayed: ReplaySnapshot,
-    /// The final v1 snapshot section after the `snapshot` marker.
-    pub final_snapshot: ReplaySnapshot,
-    /// Number of delta records applied.
-    pub deltas: u64,
-}
-
-impl StreamReplay {
-    /// Whether the delta replay reconstructs the final snapshot exactly
-    /// — the stream's core integrity invariant.
-    #[must_use]
-    pub fn reconstructs_exactly(&self) -> bool {
-        self.replayed == self.final_snapshot
-    }
-}
-
-/// Replays a complete stream file: applies every `delta`, locates the
-/// `snapshot` end-marker, parses the trailing v1 snapshot, and returns
-/// both sides for comparison.
-///
-/// # Errors
-///
-/// Rejects malformed lines, sequence regressions, and streams without
-/// an end-marker (i.e. truncated streams).
-pub fn replay_stream(text: &str) -> Result<StreamReplay, SchemaError> {
-    let mut replayer = DeltaReplayer::new();
-    let mut v1_tail = String::new();
-    let mut after_marker = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = idx + 1;
-        if raw.trim().is_empty() {
-            continue;
-        }
-        if after_marker {
-            v1_tail.push_str(raw);
-            v1_tail.push('\n');
-            continue;
-        }
-        let value = Json::parse(raw).map_err(|e| {
-            bad(
-                line,
-                format!("invalid JSON at byte {}: {}", e.pos, e.reason),
-            )
-        })?;
-        if field_u64(&value, "v", line)? != STREAM_SCHEMA_VERSION {
-            continue;
-        }
-        match field_str(&value, "t", line)?.as_str() {
-            "delta" => replayer.apply(&value, line)?,
-            "snapshot" => after_marker = true,
-            _ => {}
-        }
-    }
-    if !after_marker {
-        return Err(bad(0, "stream has no `snapshot` end-marker (truncated?)"));
-    }
-    let deltas = replayer.applied();
-    Ok(StreamReplay {
-        replayed: replayer.finish(),
-        final_snapshot: ReplaySnapshot::from_v1_jsonl(&v1_tail)?,
-        deltas,
-    })
-}
-
-/// Integrity classification of a stream file — what a reader can tell
-/// about a run that may have been killed mid-stream.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StreamStatus {
-    /// The stream carries its `snapshot` end-marker and every line is
-    /// complete: the run finished and the v1 tail is authoritative.
-    Complete {
-        /// `delta` records seen.
-        deltas: u64,
-    },
-    /// No end-marker (and possibly a torn final line): the run died
-    /// mid-stream. Every complete `delta` up to the tear is still
-    /// usable.
-    Truncated {
-        /// Complete, parseable lines before the tear.
-        complete_lines: u64,
-        /// Whether the final line itself is torn (no trailing newline
-        /// or unparseable JSON).
-        torn_tail: bool,
-    },
-}
-
-/// Classifies a stream file's integrity. A file ending without the v2
-/// `snapshot` marker — or with a torn last line — is reported as
-/// [`StreamStatus::Truncated`], never silently treated as finished;
-/// this is the streaming analogue of the trace reader's declared-count
-/// truncation check.
-#[must_use]
-pub fn stream_status(text: &str) -> StreamStatus {
-    let torn_tail = !text.is_empty() && !text.ends_with('\n') || {
-        text.lines()
-            .rfind(|l| !l.trim().is_empty())
-            .is_some_and(|l| Json::parse(l).is_err())
-    };
-    let mut complete_lines = 0u64;
-    let mut deltas = 0u64;
-    let mut saw_marker = false;
-    for raw in text.lines() {
-        if raw.trim().is_empty() {
-            continue;
-        }
-        let Ok(value) = Json::parse(raw) else { break };
-        complete_lines += 1;
-        if value.get("v").and_then(Json::as_u64) == Some(STREAM_SCHEMA_VERSION) {
-            match value.get("t").and_then(Json::as_str) {
-                Some("delta") => deltas += 1,
-                Some("snapshot") => saw_marker = true,
-                _ => {}
-            }
-        }
-    }
-    if saw_marker && !torn_tail {
-        StreamStatus::Complete { deltas }
-    } else {
-        StreamStatus::Truncated {
-            complete_lines,
-            torn_tail,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,43 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn replaying_deltas_reconstructs_final_snapshot() {
-        let probe = MemProbe::new();
-        let mut prev = MetricsSnapshot::default();
-        let mut replayer = DeltaReplayer::new();
-        // Three "ticks" of recording, diffing, and replaying.
-        for tick in 0..3u64 {
-            probe.counter(Metric::ExploreStates, 0, 7 + tick);
-            probe.counter(Metric::ExploreEdges, tick, 2);
-            probe.gauge(Metric::ExploreFrontier, 0, 10 - tick);
-            probe.histogram(Metric::BackoffSpins, 0, 1 << tick);
-            probe.span_close(Span::Explore, tick, tick + 1);
-            probe.event("explore_done", &[("states", tick)]);
-            let curr = snap(&probe);
-            let d = delta_record(&prev, &curr, tick, "r", tick * 50);
-            replayer.apply(&d, 1).unwrap();
-            prev = curr;
-        }
-        let replayed = replayer.finish();
-        let from_v1 = ReplaySnapshot::from_v1_jsonl(&snapshot_to_jsonl(&prev)).unwrap();
-        assert_eq!(replayed, from_v1);
-    }
-
-    #[test]
-    fn replayer_rejects_sequence_regression() {
-        let probe = MemProbe::new();
-        probe.counter(Metric::RegRead, 0, 1);
-        let curr = snap(&probe);
-        let base = MetricsSnapshot::default();
-        let d5 = delta_record(&base, &curr, 5, "r", 0);
-        let d4 = delta_record(&base, &curr, 4, "r", 0);
-        let mut replayer = DeltaReplayer::new();
-        replayer.apply(&d5, 1).unwrap();
-        assert!(replayer.apply(&d4, 2).is_err());
-    }
-
-    #[test]
-    fn exporter_end_to_end_stream_is_valid_and_replayable() {
+    fn exporter_end_to_end_stream_is_valid_and_sums_to_its_snapshot() {
         let dir = std::env::temp_dir().join(format!("obs_export_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stream.jsonl");
@@ -983,67 +531,78 @@ mod tests {
         let exporter = StreamExporter::start(&path, opts, Arc::clone(&probe), None).unwrap();
         for i in 0..20 {
             probe.counter(Metric::ExploreStates, 0, 3);
+            probe.counter(Metric::ExploreEdges, i % 2, 1);
             probe.gauge(Metric::ExploreFrontier, 0, 20 - i);
+            probe.histogram(Metric::BackoffSpins, 0, 1 << (i % 4));
+            probe.span_close(Span::Explore, i, i + 1);
+            probe.event("explore_done", &[("states", i)]);
             std::thread::sleep(Duration::from_millis(5));
         }
         let summary = exporter.finish().unwrap();
         assert!(summary.deltas >= 3, "expected >= 3 deltas: {summary:?}");
         let text = std::fs::read_to_string(&path).unwrap();
-        // Every line (v1 and v2) validates.
+        // Every line (v1 and v2) validates, and the stream is whole.
         validate_jsonl(&text).unwrap();
         // A v1-only consumer skips the stream records without error.
         let (v1, skipped) = crate::schema::validate_jsonl_v1(&text).unwrap();
         assert!(v1 >= 2 && skipped as u64 >= summary.deltas);
-        // And the delta replay reconstructs the final snapshot exactly.
-        let replay = replay_stream(&text).unwrap();
-        assert!(replay.reconstructs_exactly());
-        assert_eq!(replay.deltas, summary.deltas);
-        assert_eq!(
-            stream_status(&text),
-            StreamStatus::Complete {
-                deltas: summary.deltas
-            }
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 
-    #[test]
-    fn killed_stream_is_detectably_truncated() {
-        let probe = MemProbe::new();
-        probe.counter(Metric::ExploreStates, 0, 4);
-        let curr = snap(&probe);
-        let base = MetricsSnapshot::default();
-        let mut text = String::from("{\"v\":1,\"t\":\"meta\",\"tool\":\"test\"}\n");
-        text.push_str(&delta_record(&base, &curr, 0, "r", 10).render());
-        text.push('\n');
-        // Killed mid-write: the second delta is torn.
-        let torn = delta_record(&curr, &curr, 1, "r", 20).render();
-        text.push_str(&torn[..torn.len() / 2]);
-        match stream_status(&text) {
-            StreamStatus::Truncated {
-                complete_lines,
-                torn_tail,
-            } => {
-                assert_eq!(complete_lines, 2);
-                assert!(torn_tail);
+        // The format's promise, against the probe's final snapshot:
+        // counters stream as deltas, gauge and histogram stats as
+        // overwrites, spans and events once each.
+        let (mut counters, mut gauges, mut hists) =
+            (BTreeMap::new(), BTreeMap::new(), BTreeMap::new());
+        let (mut deltas, mut spans, mut events) = (0, 0, 0);
+        for record in text.lines().map(|l| Json::parse(l).unwrap()) {
+            if record.get("t").and_then(Json::as_str) != Some("delta") {
+                continue;
             }
-            other => panic!("expected truncation, got {other:?}"),
-        }
-        // Killed between lines: whole lines, but no end-marker.
-        let mut clean_cut = String::from("{\"v\":1,\"t\":\"meta\",\"tool\":\"test\"}\n");
-        clean_cut.push_str(&delta_record(&base, &curr, 0, "r", 10).render());
-        clean_cut.push('\n');
-        match stream_status(&clean_cut) {
-            StreamStatus::Truncated {
-                complete_lines,
-                torn_tail,
-            } => {
-                assert_eq!(complete_lines, 2);
-                assert!(!torn_tail);
+            deltas += 1;
+            let entries = |field| record.get(field).and_then(Json::as_arr).unwrap();
+            let num = |entry: &Json, field| entry.get(field).and_then(Json::as_u64).unwrap();
+            let name = |entry: &Json| {
+                entry
+                    .get("name")
+                    .and_then(Json::as_str)
+                    .unwrap()
+                    .to_string()
+            };
+            for c in entries("counters") {
+                *counters.entry((name(c), num(c, "key"))).or_insert(0) += num(c, "delta");
             }
-            other => panic!("expected truncation, got {other:?}"),
+            for g in entries("gauges") {
+                let stat = (num(g, "last"), num(g, "max"), num(g, "samples"));
+                gauges.insert((name(g), num(g, "key")), stat);
+            }
+            for h in entries("hists") {
+                hists.insert((name(h), num(h, "key")), (num(h, "count"), num(h, "sum")));
+            }
+            spans += entries("spans").len();
+            events += entries("events").len();
         }
-        assert!(replay_stream(&clean_cut).is_err());
+        let last = probe.snapshot();
+        let named = |m: Metric, k: u64| (m.name().to_string(), k);
+        let want: BTreeMap<_, _> = last
+            .counters
+            .iter()
+            .map(|&(m, k, v)| (named(m, k), v))
+            .collect();
+        assert_eq!(counters, want);
+        let want: BTreeMap<_, _> = last
+            .gauges
+            .iter()
+            .map(|&(m, k, g)| (named(m, k), (g.last, g.max, g.samples)))
+            .collect();
+        assert_eq!(gauges, want);
+        let want: BTreeMap<_, _> = last
+            .histograms
+            .iter()
+            .map(|(m, k, h)| (named(*m, *k), (h.count, h.sum)))
+            .collect();
+        assert_eq!(hists, want);
+        assert_eq!(deltas, summary.deltas);
+        assert_eq!((spans, events), (20, 20));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

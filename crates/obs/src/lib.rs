@@ -26,8 +26,8 @@
 //!   (`delta`/`progress`/`profile`/`snapshot`).
 //! * [`export`] — the live streaming exporter: a background thread
 //!   diffs successive [`MemProbe`] snapshots into schema-v2 delta
-//!   records while a run is in flight, plus the [`export::DeltaReplayer`]
-//!   that reconstructs the final snapshot from the deltas.
+//!   records while a run is in flight; [`schema::validate_jsonl`]
+//!   checks a stream whole and rejects a truncated or reordered one.
 //! * [`profile`] — the wall-clock profiler: per-worker
 //!   [`profile::PhaseTimer`] phase stacks collected by a
 //!   [`profile::Profiler`], exported as schema-v2 `profile` records and
@@ -63,8 +63,7 @@ pub mod schema;
 pub mod trace_io;
 
 pub use export::{
-    delta_record, replay_stream, stream_status, DeltaReplayer, Progress, ProgressTracker,
-    ReplaySnapshot, StreamExporter, StreamOptions, StreamStatus, StreamSummary,
+    delta_record, Progress, ProgressTracker, StreamExporter, StreamOptions, StreamSummary,
 };
 pub use heatmap::Heatmap;
 pub use json::{Json, JsonDecode, JsonEncode, JsonError};

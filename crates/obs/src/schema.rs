@@ -26,17 +26,21 @@
 //! | `profile`  | `worker` (u64), `frames` (arr of `{stack` (str)`, self_ns` (u64)`}`) |
 //! | `snapshot` | none — end-of-stream marker; plain v1 snapshot lines follow |
 //!
-//! Counters stream as *deltas* (replaying every `delta` record in order
-//! reconstructs the final totals exactly); gauge and histogram stats
-//! are full overwrites; spans and events appear once, in the delta that
-//! first observed them. A v1 consumer must skip any line whose `v` is
-//! `2` without error and read the trailing v1 snapshot —
+//! Counters stream as *deltas* (a counter's `delta`s summed over the
+//! stream give its final total); gauge and histogram stats are full
+//! overwrites; spans and events appear once, in the delta that first
+//! observed them. A v1 consumer must skip any line whose `v` is `2`
+//! without error and read the trailing v1 snapshot —
 //! [`validate_jsonl_v1`] models exactly that behavior.
 //!
-//! [`validate_line`] and [`validate_jsonl`] enforce exactly these
-//! tables (both versions); the golden-file tests in `crates/obs/tests`
-//! pin concrete encodings so the format cannot drift without a
-//! deliberate version bump.
+//! [`validate_line`] and [`validate_value`] enforce these tables line by
+//! line (both versions). [`validate_jsonl`] also checks that a stream is
+//! whole and in order — one `run`, strictly increasing `seq`,
+//! non-decreasing `elapsed_ms`, and exactly one `snapshot` marker as the
+//! last v2 record — so `check obs validate` rejects a truncated or
+//! reordered stream. The golden-file tests in `crates/obs/tests` pin
+//! concrete encodings so the format cannot drift without a deliberate
+//! version bump.
 
 use crate::json::{Json, JsonError};
 
@@ -296,13 +300,27 @@ pub fn validate_line(line: &str) -> Result<(), SchemaError> {
 
 /// Validates a whole JSONL document (one object per non-empty line).
 ///
+/// Every line must satisfy its version's table. A document that holds
+/// at least one v2 record is a live stream and must also be whole and
+/// in order: all v2 records share one `run`, `seq` strictly increases,
+/// `elapsed_ms` never decreases, and exactly one `snapshot` end-marker
+/// is the last v2 record (only v1 lines follow it). A run killed before
+/// its end-marker, or a stream whose records were reordered, is
+/// rejected. v1-only documents are checked line by line.
+///
 /// Returns the number of validated lines.
 ///
 /// # Errors
 ///
-/// Returns the first violation, tagged with its 1-based line number.
+/// Returns the first violation, tagged with its 1-based line number; a
+/// missing end-marker is reported at the document's last line.
 pub fn validate_jsonl(text: &str) -> Result<usize, SchemaError> {
     let mut validated = 0;
+    let mut last_line = 0;
+    // `(run, seq, elapsed_ms)` of the previous v2 record, and the line of
+    // the `snapshot` end-marker once seen.
+    let mut prev: Option<(String, u64, u64)> = None;
+    let mut marker = None;
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
         if raw.trim().is_empty() {
@@ -311,6 +329,34 @@ pub fn validate_jsonl(text: &str) -> Result<usize, SchemaError> {
         let value = Json::parse(raw).map_err(|e| parse_err(line, &e))?;
         validate_value(&value, line)?;
         validated += 1;
+        last_line = line;
+        if value.get("v").and_then(Json::as_u64) != Some(STREAM_SCHEMA_VERSION) {
+            continue;
+        }
+        let t = require_str(&value, "t", line)?;
+        let run = require_str(&value, "run", line)?;
+        let seq = require_u64(&value, "seq", line)?;
+        let elapsed = require_u64(&value, "elapsed_ms", line)?;
+        let broken = match (&prev, marker) {
+            (_, Some(at)) => Some(format!("v2 `{t}` after the end-marker at line {at}")),
+            (Some((r, ..)), _) if r != run => Some(format!("run `{run}` in a stream of run `{r}`")),
+            (Some((_, s, _)), _) if seq <= *s => Some(format!("seq {seq} after seq {s}")),
+            (Some((.., e)), _) if elapsed < *e => Some(format!("elapsed_ms {elapsed} after {e}")),
+            _ => None,
+        };
+        if let Some(reason) = broken {
+            return Err(err(line, reason));
+        }
+        if t == "snapshot" {
+            marker = Some(line);
+        }
+        prev = Some((run.to_string(), seq, elapsed));
+    }
+    if prev.is_some() && marker.is_none() {
+        return Err(err(
+            last_line,
+            "stream has no `snapshot` end-marker (truncated?)",
+        ));
     }
     Ok(validated)
 }

@@ -4,14 +4,29 @@
 //! a v1 `meta` header, interleaved v2 `delta`/`progress` records, the
 //! flushed `profile` records, the v2 `snapshot` end-marker, and the
 //! authoritative v1 snapshot tail. Freezing the bytes pins the format —
-//! the validator and replayer must keep accepting this exact file, so
-//! the stream schema cannot drift without deliberately regenerating the
-//! golden (the intended signal for a stream-schema bump).
+//! the validator must keep accepting this exact file, so the stream
+//! schema cannot drift without deliberately regenerating the golden
+//! (the intended signal for a stream-schema bump) — and every broken
+//! copy of it below must keep failing validation.
+
+use std::collections::BTreeMap;
 
 use anonreg_obs::schema::{validate_jsonl, validate_jsonl_v1};
-use anonreg_obs::{replay_stream, stream_status, Json, StreamStatus};
+use anonreg_obs::Json;
 
 const GOLDEN: &str = include_str!("golden_v2_stream.jsonl");
+
+/// 0-based index of the `snapshot` end-marker line.
+fn marker() -> usize {
+    GOLDEN
+        .lines()
+        .position(|l| l.contains("\"t\":\"snapshot\""))
+        .expect("end marker present")
+}
+
+fn join(lines: &[&str]) -> String {
+    lines.iter().map(|l| format!("{l}\n")).collect()
+}
 
 #[test]
 fn golden_stream_validates_under_both_validators() {
@@ -45,13 +60,9 @@ fn golden_stream_carries_every_v2_record_type() {
 
 #[test]
 fn golden_stream_has_several_deltas_before_the_final_snapshot() {
-    let marker = GOLDEN
-        .lines()
-        .position(|l| l.contains("\"t\":\"snapshot\""))
-        .expect("end marker present");
     let deltas_before = GOLDEN
         .lines()
-        .take(marker)
+        .take(marker())
         .filter(|l| l.contains("\"t\":\"delta\""))
         .count();
     assert!(
@@ -60,84 +71,102 @@ fn golden_stream_has_several_deltas_before_the_final_snapshot() {
     );
 }
 
+/// The records of line type `t`.
+fn of_type<'a>(records: &'a [Json], t: &'a str) -> impl Iterator<Item = &'a Json> {
+    records
+        .iter()
+        .filter(move |r| r.get("t").and_then(Json::as_str) == Some(t))
+}
+
 #[test]
-fn golden_stream_replays_to_its_final_snapshot() {
-    let replay = replay_stream(GOLDEN).expect("golden stream must stay replayable");
-    assert!(replay.deltas >= 3);
-    assert!(
-        replay.reconstructs_exactly(),
-        "delta replay diverged from the v1 tail"
-    );
-    // The stream reports itself complete.
-    assert_eq!(
-        stream_status(GOLDEN),
-        StreamStatus::Complete {
-            deltas: replay.deltas
-        }
-    );
+fn golden_deltas_add_up_to_the_v1_tail() {
+    let records: Vec<Json> = GOLDEN.lines().map(|l| Json::parse(l).unwrap()).collect();
+    let (stream, tail) = records.split_at(marker());
+    let num = |r: &Json, field| r.get(field).and_then(Json::as_u64).unwrap();
+    let key = |r: &Json| {
+        let name = r.get("name").and_then(Json::as_str).unwrap();
+        (name.to_string(), num(r, "key"))
+    };
+    let listed = |field| {
+        of_type(stream, "delta").flat_map(move |d| d.get(field).and_then(Json::as_arr).unwrap())
+    };
+    let mut summed = BTreeMap::new();
+    for c in listed("counters") {
+        *summed.entry(key(c)).or_insert(0) += num(c, "delta");
+    }
+    let totals: BTreeMap<_, _> = of_type(tail, "counter")
+        .map(|c| (key(c), num(c, "value")))
+        .collect();
+    assert!(!totals.is_empty());
+    assert_eq!(summed, totals, "counter deltas must sum to the v1 totals");
+    assert_eq!(listed("spans").count(), of_type(tail, "span").count());
+    assert_eq!(listed("events").count(), of_type(tail, "event").count());
 }
 
 #[test]
 fn truncating_the_golden_stream_is_detected() {
     // Kill the stream mid-flight: drop everything from the end marker on.
-    let marker = GOLDEN
-        .lines()
-        .position(|l| l.contains("\"t\":\"snapshot\""))
-        .expect("end marker present");
-    let truncated: String = GOLDEN
-        .lines()
-        .take(marker)
-        .map(|l| format!("{l}\n"))
-        .collect();
-    match stream_status(&truncated) {
-        StreamStatus::Truncated {
-            complete_lines,
-            torn_tail,
-        } => {
-            assert_eq!(complete_lines as usize, marker);
-            assert!(!torn_tail, "clean line boundary is not a torn tail");
-        }
-        StreamStatus::Complete { .. } => panic!("truncated stream reported complete"),
-    }
-    assert!(replay_stream(&truncated).is_err());
+    let lines: Vec<&str> = GOLDEN.lines().collect();
+    let truncated = join(&lines[..marker()]);
+    let e = validate_jsonl(&truncated).unwrap_err();
+    assert_eq!(e.line, marker(), "a missing marker names the last line");
+    assert!(e.reason.contains("end-marker"), "{e}");
 
     // Tear the final line mid-record as a crash would.
-    let torn = &truncated[..truncated.len() - 20];
-    match stream_status(torn) {
-        StreamStatus::Truncated { torn_tail, .. } => assert!(torn_tail),
-        StreamStatus::Complete { .. } => panic!("torn stream reported complete"),
-    }
+    let e = validate_jsonl(&truncated[..truncated.len() - 20]).unwrap_err();
+    assert_eq!(e.line, marker());
+    assert!(e.reason.contains("invalid JSON"), "{e}");
 }
 
 #[test]
-fn golden_deltas_have_monotonic_seq_and_elapsed() {
-    let mut last_seq = None;
-    let mut last_elapsed = None;
-    let mut run_ids = std::collections::BTreeSet::new();
-    for line in GOLDEN.lines().filter(|l| l.contains("\"v\":2")) {
-        let json = Json::parse(line).unwrap();
-        if json.get("v").and_then(Json::as_u64) != Some(2) {
-            continue;
-        }
-        let seq = json.get("seq").and_then(Json::as_u64).expect("seq");
-        let elapsed = json
-            .get("elapsed_ms")
-            .and_then(Json::as_u64)
-            .expect("elapsed_ms");
-        run_ids.insert(
-            json.get("run")
-                .and_then(Json::as_str)
-                .expect("run id")
-                .to_string(),
-        );
-        if let Some(prev) = last_seq {
-            assert!(seq > prev, "seq regressed: {prev} -> {seq}");
-        }
-        if let Some(prev) = last_elapsed {
-            assert!(elapsed >= prev, "elapsed_ms regressed: {prev} -> {elapsed}");
-        }
-        last_seq = Some(seq);
-        last_elapsed = Some(elapsed);
+fn reordering_or_splicing_the_golden_stream_is_detected() {
+    let lines: Vec<&str> = GOLDEN.lines().collect();
+    let m = marker();
+    assert!(lines[1].contains("\"seq\":0") && lines[2].contains("\"seq\":1"));
+
+    let mut swapped = lines.clone();
+    swapped.swap(1, 2);
+
+    let mut doubled_marker = lines.clone();
+    doubled_marker.insert(m + 1, lines[m]);
+
+    let second_run = lines[3].replace("check-explore-28213", "check-explore-1");
+    let mut two_runs = lines.clone();
+    two_runs[3] = &second_run;
+
+    let mut after_marker = lines.clone();
+    let last_profile = after_marker.remove(m - 1);
+    after_marker.push(last_profile);
+
+    let early_marker = lines[m].replace("\"elapsed_ms\":254", "\"elapsed_ms\":0");
+    let mut clock_back = lines.clone();
+    clock_back[m] = &early_marker;
+
+    let cases = [
+        ("swapped", swapped, 3, "seq 0 after seq 1"),
+        (
+            "two markers",
+            doubled_marker,
+            m + 2,
+            "v2 `snapshot` after the end-marker",
+        ),
+        (
+            "two runs",
+            two_runs,
+            4,
+            "in a stream of run `check-explore-28213`",
+        ),
+        (
+            "after marker",
+            after_marker,
+            lines.len(),
+            "v2 `profile` after the end-marker",
+        ),
+        ("clock back", clock_back, m + 1, "elapsed_ms 0 after 254"),
+    ];
+    for (what, broken, line, needle) in cases {
+        let e = validate_jsonl(&join(&broken)).expect_err(what);
+        assert_eq!(e.line, line, "{what}: {e}");
+        assert!(e.reason.contains(needle), "{what}: {e}");
     }
-    assert_eq!(run_ids.len(), 1, "one run id across the whole stream");
 }

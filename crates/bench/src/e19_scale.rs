@@ -76,8 +76,10 @@ impl Row {
         self.stats.states as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 
-    /// Mean stored state-code length in bytes: what each interned state
-    /// costs the dedup table's code store, in memory or spilled.
+    /// Mean state-code length in bytes over the interned states. The
+    /// spill files store exactly these bytes; the in-memory arena stores
+    /// each code after one length word and rounds it up to whole 8-byte
+    /// words.
     #[must_use]
     pub fn bytes_per_state(&self) -> f64 {
         self.stats.code_bytes as f64 / self.stats.states.max(1) as f64

@@ -57,11 +57,14 @@ pub enum Phase {
     /// [`Phase::Dedup`] when spilling is on, so profiles separate table
     /// time from IO.
     Spill,
+    /// Graph assembly: an explorer worker handing an expanded state and
+    /// its edges to the state graph (graph mode only).
+    Record,
 }
 
 /// All phases, in wire order. `Phase::from_code` relies on this; new
 /// phases append so existing packed codes stay stable.
-const PHASES: [Phase; 9] = [
+const PHASES: [Phase; 10] = [
     Phase::Step,
     Phase::Canon,
     Phase::Dedup,
@@ -71,6 +74,7 @@ const PHASES: [Phase; 9] = [
     Phase::Waiting,
     Phase::Critical,
     Phase::Spill,
+    Phase::Record,
 ];
 
 impl Phase {
@@ -87,6 +91,7 @@ impl Phase {
             Phase::Waiting => "waiting",
             Phase::Critical => "critical",
             Phase::Spill => "spill",
+            Phase::Record => "record",
         }
     }
 
@@ -361,6 +366,11 @@ mod tests {
         assert_eq!(Phase::Waiting.name(), "waiting");
         assert_eq!(Phase::Critical.name(), "critical");
         assert_eq!(Phase::Spill.name(), "spill");
+        assert_eq!(Phase::Record.name(), "record");
+        // Wire codes are append-only: the newest phase takes the next one.
+        assert_eq!(Phase::Spill.code(), 9);
+        assert_eq!(Phase::Record.code(), 10);
+        assert_eq!(Phase::from_code(10), Some(Phase::Record));
     }
 
     #[test]

@@ -38,7 +38,8 @@
 //! whole and in order — one `run`, strictly increasing `seq`,
 //! non-decreasing `elapsed_ms`, and exactly one `snapshot` marker as the
 //! last v2 record — so `check obs validate` rejects a truncated or
-//! reordered stream. The golden-file tests in `crates/obs/tests` pin
+//! reordered stream, including one cut before its first v2 record (the
+//! stream's v1 `meta` header carries `stream_interval_ms`). The golden-file tests in `crates/obs/tests` pin
 //! concrete encodings so the format cannot drift without a deliberate
 //! version bump.
 
@@ -301,7 +302,8 @@ pub fn validate_line(line: &str) -> Result<(), SchemaError> {
 /// Validates a whole JSONL document (one object per non-empty line).
 ///
 /// Every line must satisfy its version's table. A document that holds
-/// at least one v2 record is a live stream and must also be whole and
+/// at least one v2 record, or whose v1 `meta` header declares a
+/// `stream_interval_ms`, is a live stream and must also be whole and
 /// in order: all v2 records share one `run`, `seq` strictly increases,
 /// `elapsed_ms` never decreases, and exactly one `snapshot` end-marker
 /// is the last v2 record (only v1 lines follow it). A run killed before
@@ -321,6 +323,8 @@ pub fn validate_jsonl(text: &str) -> Result<usize, SchemaError> {
     // the `snapshot` end-marker once seen.
     let mut prev: Option<(String, u64, u64)> = None;
     let mut marker = None;
+    // Whether a v1 `meta` header declared a live stream.
+    let mut declared = false;
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
         if raw.trim().is_empty() {
@@ -331,6 +335,8 @@ pub fn validate_jsonl(text: &str) -> Result<usize, SchemaError> {
         validated += 1;
         last_line = line;
         if value.get("v").and_then(Json::as_u64) != Some(STREAM_SCHEMA_VERSION) {
+            declared |= value.get("t").and_then(Json::as_str) == Some("meta")
+                && value.get("stream_interval_ms").is_some();
             continue;
         }
         let t = require_str(&value, "t", line)?;
@@ -352,7 +358,7 @@ pub fn validate_jsonl(text: &str) -> Result<usize, SchemaError> {
         }
         prev = Some((run.to_string(), seq, elapsed));
     }
-    if prev.is_some() && marker.is_none() {
+    if (declared || prev.is_some()) && marker.is_none() {
         return Err(err(
             last_line,
             "stream has no `snapshot` end-marker (truncated?)",

@@ -116,6 +116,14 @@ fn truncating_the_golden_stream_is_detected() {
     let e = validate_jsonl(&truncated[..truncated.len() - 20]).unwrap_err();
     assert_eq!(e.line, marker());
     assert!(e.reason.contains("invalid JSON"), "{e}");
+
+    // Killed before its first record: the `meta` header alone, which
+    // declares a live stream through its `stream_interval_ms`.
+    let header = join(&lines[..1]);
+    assert!(header.contains("\"stream_interval_ms\""));
+    let e = validate_jsonl(&header).unwrap_err();
+    assert_eq!(e.line, 1, "{e}");
+    assert!(e.reason.contains("end-marker"), "{e}");
 }
 
 #[test]

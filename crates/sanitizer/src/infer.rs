@@ -372,6 +372,19 @@ pub fn explorer_site_notes() -> Vec<(&'static str, &'static str)> {
              budget synchronises through the table's RwLock (probers hold a read guard \
              across each intern batch, the rehash runs under the write guard)",
         ),
+        (
+            "ORD-DEDUP-ARENA-009",
+            "FpTable id locator and InMemory arena record words (Relaxed stores by the \
+             claimant before the meta Release / Relaxed loads after the meta Acquire): \
+             per-location release bookkeeping — each of these words is stored once, by \
+             the thread that claimed the id, and the store precedes that thread's meta \
+             Release in program order, so the release covers it; a reader acquires the \
+             published meta before its first load of the locator or of any record word, \
+             and no later store to those words exists, so the Relaxed load returns the \
+             published value. Only the owning worker appends to an arena (one Writer \
+             per worker), and a doubling moves locators only under the RwLock's write \
+             guard",
+        ),
     ]
 }
 
@@ -730,26 +743,40 @@ mod tests {
         assert!(notes.iter().any(|(id, _)| *id == "ORD-RT-HANDLE-002"));
     }
 
+    /// Every `ORD-…` id cited in `source`: the run of uppercase letters,
+    /// digits and dashes after each `ORD-`.
+    fn cited_ids(source: &str) -> std::collections::BTreeSet<String> {
+        source
+            .split("ORD-")
+            .skip(1)
+            .map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '-'))
+                    .unwrap_or(rest.len());
+                format!("ORD-{}", rest[..end].trim_end_matches('-'))
+            })
+            .collect()
+    }
+
     #[test]
     fn explorer_notes_cover_the_cited_ids() {
-        // One note per certificate the dedup/par code comments cite, with
-        // unique IDs.
+        // The explorer's certificates are exactly the ids its dedup and
+        // engine code cite: each cited id has a note, each note is cited,
+        // and no id has two notes.
+        let cited = cited_ids(concat!(
+            include_str!("../../sim/src/explore/dedup.rs"),
+            include_str!("../../sim/src/explore/par.rs"),
+        ));
+        assert!(cited.len() >= 8, "found only {cited:?}");
         let notes = explorer_site_notes();
-        let cited = [
-            "ORD-DEDUP-CLAIM-001",
-            "ORD-DEDUP-META-002",
-            "ORD-DEDUP-SPIN-003",
-            "ORD-EXP-PENDING-005",
-            "ORD-DEDUP-FLUSH-006",
-            "ORD-EXP-ABORT-007",
-            "ORD-DEDUP-GROW-008",
-        ];
-        for id in cited {
-            assert!(notes.iter().any(|(n, _)| *n == id), "missing note {id}");
+        let noted: std::collections::BTreeSet<String> =
+            notes.iter().map(|(id, _)| (*id).to_string()).collect();
+        assert_eq!(noted.len(), notes.len(), "duplicate note ids");
+        for id in &cited {
+            assert!(noted.contains(id), "{id} is cited but has no note");
         }
-        let mut ids: Vec<&str> = notes.iter().map(|(id, _)| *id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), notes.len(), "duplicate note ids");
+        for id in &noted {
+            assert!(cited.contains(id), "{id} has a note but no cited site");
+        }
     }
 }

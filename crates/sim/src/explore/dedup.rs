@@ -1,6 +1,6 @@
 //! Deduplication substrate of the explorer.
 //!
-//! Two cooperating pieces:
+//! Three cooperating pieces:
 //!
 //! * [`FpTable`] — a lock-free open-addressing fingerprint table that
 //!   starts at [`MIN_SLOTS`] and doubles whenever half its slots are
@@ -10,13 +10,19 @@
 //!   probe key) and `meta` packs `(id + 1) << 32 | hi32` once the entry is
 //!   published. Insertion claims a slot with a single compare-and-swap and
 //!   publishes the id with a release store, exactly the Arc-style
-//!   publication idiom: the writer releases after the payload (canonical
-//!   code or spill location) is in place, and readers acquire through
-//!   `meta` before touching any of it. Beside the slots the table keeps
-//!   one [`CodeStore::Entry`] per id — the canonical code itself
-//!   ([`InMemory`]) or where the spill files hold it ([`SpillStore`]) —
-//!   and grows those entries with the slots. Probes borrow the caller's
-//!   code; the store copies it only for a freshly claimed id.
+//!   publication idiom: the writer releases after the payload (the
+//!   canonical code and its locator) is in place, and readers acquire
+//!   through `meta` before touching any of it. Beside the slots the table
+//!   keeps one 8-byte locator per id, saying where the [`CodeStore`] put
+//!   the id's code, and grows the locators with the slots. Probes borrow
+//!   the caller's code; the store copies it only for a freshly claimed id.
+//! * [`InMemory`] — the default code store: one append-only arena per
+//!   worker. An arena is a directory of chunks of atomic words, allocated
+//!   on first use; a record is one length word followed by the code
+//!   packed into little-endian words. Only the worker that owns an arena
+//!   appends to it (it holds the arena's one [`Writer`]); any worker reads
+//!   it. Codes cost no allocation of their own, and a run frees them a
+//!   chunk at a time.
 //! * [`SpillStore`] — an append-only on-disk code store behind a sharded
 //!   LRU in-memory tier, so canonical codes no longer pin the run's state
 //!   count to RAM. Codes append to per-worker unlinked temp files (the
@@ -35,7 +41,7 @@
 //! outside a batch, and a claimant publishes before it leaves its batch,
 //! so no slot is claimed-but-unpublished: the doubling rehashes the
 //! stored `(fp, meta)` pairs alone, reads no code, and grows the id-indexed
-//! entries to the new budget. Ids never change.
+//! locators to the new budget. Ids never change.
 //!
 //! # Memory-ordering certificates
 //!
@@ -59,13 +65,18 @@
 //! * `ORD-DEDUP-GROW-008` — the claim budget counter is Relaxed: it only
 //!   caps how many slots a generation hands out; the doubling itself
 //!   synchronises through the `RwLock`.
+//! * `ORD-DEDUP-ARENA-009` — an id's locator and its arena record are
+//!   stored Relaxed before `meta`'s Release and loaded Relaxed after its
+//!   Acquire: each word is written once, by the claimant, so the meta edge
+//!   alone makes the written value the one every reader sees.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock, RwLockReadGuard};
+use std::sync::{Mutex, Once, OnceLock, RwLock, RwLockReadGuard};
 
 use anonreg_model::fingerprint::Fp128;
 use anonreg_obs::Metric;
@@ -83,6 +94,23 @@ const LIMIT_META: u64 = u64::MAX;
 const MAX_SLOTS: usize = 1 << 28;
 /// Slots every table starts with (16 KiB).
 const MIN_SLOTS: usize = 1 << 10;
+
+/// A value on cache lines of its own. Words that several workers write
+/// (the table's lock and counters, the explorer's shared counters and
+/// per-worker queues) each sit in one, so a write by one worker does not
+/// evict the words its siblings use. 128 bytes, because x86 prefetchers
+/// pull 64-byte lines in adjacent pairs.
+#[derive(Default)]
+#[repr(align(128))]
+pub(crate) struct Padded<T>(T);
+
+impl<T> Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 #[derive(Default)]
 struct Slot {
@@ -106,49 +134,156 @@ pub(crate) enum Probe {
     Aborted,
 }
 
-/// Where interned canonical codes live. The table keeps one `Entry` per
-/// id, has the store fill it when the id is claimed, and hands it back
-/// when a probe needs the code.
+/// Where interned canonical codes live. The table keeps one `u64`
+/// locator per id: the store appends a freshly claimed id's code and says
+/// where it went, and hands the locator back when a probe needs the code.
 pub(crate) trait CodeStore: Sync {
-    /// Per-id storage, grown with the table.
-    type Entry: Default + Send + Sync;
+    /// How many workers append codes; [`FpTable::writers`] makes one
+    /// writer for each.
+    fn workers(&self) -> usize;
 
-    /// Whether state `id`, stored in `entry`, has canonical code `code`.
-    fn is_same(&self, entry: &Self::Entry, id: u32, code: &[u8]) -> bool;
+    /// Whether state `id`, stored at `loc`, has canonical code `code`.
+    fn is_same(&self, loc: u64, id: u32, code: &[u8]) -> bool;
 
-    /// Stores a copy of `code` for freshly claimed `id` on behalf of
-    /// `worker`. Runs before the id is published (ORD-DEDUP-META-002 makes
-    /// the store visible to every prober that finds the id). This is the
-    /// only place a code is copied out of the caller's buffer, so a probe
-    /// that finds its state already interned allocates nothing.
-    fn publish(&self, entry: &Self::Entry, worker: usize, id: u32, code: &[u8]);
+    /// Appends a copy of `code` for freshly claimed `id` at `tail`, the
+    /// calling worker's end of the store, and returns where it went. Runs
+    /// before the id is published (ORD-DEDUP-META-002 makes the store
+    /// visible to every prober that finds the id). This is the only place
+    /// a code is copied out of the caller's buffer, so a probe that finds
+    /// its state already interned writes nothing.
+    fn publish(&self, tail: &mut Tail, id: u32, code: &[u8]) -> u64;
 
     /// Emits the store's own counters at the end of a run.
     fn report<P: anonreg_obs::Probe>(&self, _probe: &P) {}
 }
 
-/// Canonical codes kept in memory, one write-once cell per id.
-pub(crate) struct InMemory;
+/// One worker's end of the code store: its index, and where its next
+/// record goes in its in-memory arena (the spill store keeps its own
+/// offsets). Only [`FpTable::writers`] makes tails, one per worker.
+pub(crate) struct Tail {
+    worker: usize,
+    chunk: usize,
+    /// Word offset in `chunk`.
+    at: usize,
+}
 
-impl CodeStore for InMemory {
-    type Entry = OnceLock<Box<[u8]>>;
-
-    fn is_same(&self, entry: &Self::Entry, _id: u32, code: &[u8]) -> bool {
-        entry.get().is_some_and(|c| **c == *code)
-    }
-
-    fn publish(&self, entry: &Self::Entry, _worker: usize, _id: u32, code: &[u8]) {
-        let stored = entry.set(code.into());
-        debug_assert!(stored.is_ok(), "each id is published exactly once");
+impl Tail {
+    fn new(worker: usize) -> Self {
+        Tail {
+            worker,
+            chunk: 0,
+            at: 0,
+        }
     }
 }
 
-/// One generation of the table: its slots and the id-indexed entries.
-struct Shared<E> {
+/// Words in each of an arena's first two chunks (4 KiB each). Chunks
+/// come in pairs of equal size, each pair twice the size of the one
+/// before, so the chunk being filled holds at most about half as much as
+/// all the chunks before it, which bounds what its unused rest wastes.
+const CHUNK_WORDS: usize = 512;
+/// Chunks in an arena's directory (room for 2⁴² words).
+const CHUNKS: usize = 64;
+/// Locator layout: bits 63..22 = word offset in the chunk, bits 21..16 =
+/// chunk, bits 15..0 = worker.
+const ARENA_CHUNK_SHIFT: u32 = 16;
+const ARENA_AT_SHIFT: u32 = 22;
+const ARENA_WORKER_MASK: u64 = (1 << ARENA_CHUNK_SHIFT) - 1;
+const ARENA_CHUNK_MASK: u64 = (1 << (ARENA_AT_SHIFT - ARENA_CHUNK_SHIFT)) - 1;
+
+/// Words in arena chunk `k`.
+fn chunk_words(k: usize) -> usize {
+    CHUNK_WORDS << (k / 2)
+}
+
+/// `code` as the words of an arena record's body: little-endian, the last
+/// one zero-padded.
+fn code_words(code: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let (body, rest) = code.as_chunks::<8>();
+    body.iter()
+        .map(|bytes| u64::from_le_bytes(*bytes))
+        .chain((!rest.is_empty()).then(|| {
+            let mut word = [0; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            u64::from_le_bytes(word)
+        }))
+}
+
+/// One worker's append-only arena: chunk `k` holds [`chunk_words`]`(k)`
+/// words once allocated.
+type Arena = [OnceLock<Box<[AtomicU64]>>; CHUNKS];
+
+/// Canonical codes kept in memory, in one append-only arena per worker.
+pub(crate) struct InMemory {
+    arenas: Box<[Arena]>,
+}
+
+impl InMemory {
+    /// A store for `workers` workers. Allocates only the chunk
+    /// directories; a chunk is allocated when its first record lands.
+    pub(crate) fn new(workers: usize) -> Self {
+        assert!(
+            workers as u64 <= ARENA_WORKER_MASK + 1,
+            "a locator packs a 16-bit worker index"
+        );
+        InMemory {
+            arenas: (0..workers)
+                .map(|_| std::array::from_fn(|_| OnceLock::new()))
+                .collect(),
+        }
+    }
+}
+
+impl CodeStore for InMemory {
+    fn workers(&self) -> usize {
+        self.arenas.len()
+    }
+
+    fn is_same(&self, loc: u64, _id: u32, code: &[u8]) -> bool {
+        let worker = (loc & ARENA_WORKER_MASK) as usize;
+        let chunk = (loc >> ARENA_CHUNK_SHIFT & ARENA_CHUNK_MASK) as usize;
+        let at = (loc >> ARENA_AT_SHIFT) as usize;
+        let words = self.arenas[worker][chunk]
+            .get()
+            .expect("a published record's chunk exists");
+        // ORD-DEDUP-ARENA-009: Relaxed loads after the meta Acquire.
+        words[at].load(Ordering::Relaxed) == code.len() as u64
+            && words[at + 1..]
+                .iter()
+                .zip(code_words(code))
+                .all(|(word, expected)| word.load(Ordering::Relaxed) == expected)
+    }
+
+    fn publish(&self, tail: &mut Tail, _id: u32, code: &[u8]) -> u64 {
+        let need = 1 + code.len().div_ceil(8);
+        // A record never straddles chunks: skip what is left of this one.
+        while tail.at + need > chunk_words(tail.chunk) {
+            tail.chunk += 1;
+            tail.at = 0;
+        }
+        let k = tail.chunk;
+        let words = self.arenas[tail.worker][k]
+            .get_or_init(|| (0..chunk_words(k)).map(|_| AtomicU64::new(0)).collect());
+        let record = &words[tail.at..tail.at + need];
+        // ORD-DEDUP-ARENA-009: written once, published by the meta Release.
+        record[0].store(code.len() as u64, Ordering::Relaxed);
+        for (word, value) in record[1..].iter().zip(code_words(code)) {
+            word.store(value, Ordering::Relaxed);
+        }
+        let loc = (tail.at as u64) << ARENA_AT_SHIFT
+            | (k as u64) << ARENA_CHUNK_SHIFT
+            | tail.worker as u64;
+        tail.at += need;
+        loc
+    }
+}
+
+/// One generation of the table: its slots and the id-indexed locators.
+struct Shared {
     slots: Box<[Slot]>,
-    /// `slots.len() / 2` entries — the generation's claim budget, so every
-    /// id it hands out has an entry.
-    entries: Vec<E>,
+    /// `slots.len() / 2` locators — the generation's claim budget, so every
+    /// id it hands out has one.
+    locs: Vec<AtomicU64>,
 }
 
 /// Lock-free open-addressing fingerprint table, grown by doubling.
@@ -157,13 +292,15 @@ struct Shared<E> {
 /// within a generation, which is what makes the wait-free read path
 /// sound; a doubling moves them only while it holds the write lock.
 pub(crate) struct FpTable<S: CodeStore> {
-    shared: RwLock<Shared<S::Entry>>,
-    store: S,
+    shared: Padded<RwLock<Shared>>,
     /// Slots claimed or being claimed — at most the generation's budget.
-    claims: AtomicUsize,
-    next_id: AtomicUsize,
+    claims: Padded<AtomicUsize>,
+    next_id: Padded<AtomicUsize>,
+    store: S,
     /// Effective state budget: `min(max_states, MAX_SLOTS / 2)`.
     limit: usize,
+    /// Run once, by [`FpTable::writers`].
+    writers_made: Once,
 }
 
 /// What one pass over the slots found.
@@ -180,15 +317,35 @@ enum Found {
 impl<S: CodeStore> FpTable<S> {
     pub(crate) fn new(max_states: usize, store: S) -> Self {
         FpTable {
-            shared: RwLock::new(Shared {
+            shared: Padded(RwLock::new(Shared {
                 slots: (0..MIN_SLOTS).map(|_| Slot::default()).collect(),
-                entries: (0..MIN_SLOTS / 2).map(|_| S::Entry::default()).collect(),
-            }),
+                locs: (0..MIN_SLOTS / 2).map(|_| AtomicU64::default()).collect(),
+            })),
+            claims: Padded::default(),
+            next_id: Padded::default(),
             store,
-            claims: AtomicUsize::new(0),
-            next_id: AtomicUsize::new(0),
             limit: max_states.min(MAX_SLOTS / 2),
+            writers_made: Once::new(),
         }
+    }
+
+    /// The table's writers, one per worker of its store: every intern
+    /// goes through one. A table makes them once, so each worker's end of
+    /// the store has exactly one writer.
+    ///
+    /// # Panics
+    ///
+    /// On a second call.
+    pub(crate) fn writers(&self) -> Vec<Writer<'_, S>> {
+        let mut first = false;
+        self.writers_made.call_once(|| first = true);
+        assert!(first, "a table makes its writers once");
+        (0..self.store.workers())
+            .map(|worker| Writer {
+                table: self,
+                tail: Tail::new(worker),
+            })
+            .collect()
     }
 
     /// The code store behind the table.
@@ -207,21 +364,13 @@ impl<S: CodeStore> FpTable<S> {
         self.read().slots.len()
     }
 
-    /// Opens a batch of interns: a read guard held until the batch drops.
-    pub(crate) fn batch(&self) -> Batch<'_, S> {
-        Batch {
-            table: self,
-            guard: Some(self.read()),
-        }
-    }
-
-    fn read(&self) -> RwLockReadGuard<'_, Shared<S::Entry>> {
+    fn read(&self) -> RwLockReadGuard<'_, Shared> {
         self.shared.read().expect("dedup table lock")
     }
 
     fn find(
         &self,
-        shared: &Shared<S::Entry>,
+        shared: &Shared,
         fp: Fp128,
         code: &[u8],
         should_abort: &impl Fn() -> bool,
@@ -258,7 +407,9 @@ impl<S: CodeStore> FpTable<S> {
                 }
                 if meta as u32 == hi32 {
                     let id = (meta >> 32) as u32 - 1;
-                    if self.store.is_same(&shared.entries[id as usize], id, code) {
+                    // ORD-DEDUP-ARENA-009: Relaxed after the meta Acquire.
+                    let loc = shared.locs[id as usize].load(Ordering::Relaxed);
+                    if self.store.is_same(loc, id, code) {
                         return Found::Done(Probe::Known(id));
                     }
                 }
@@ -269,7 +420,7 @@ impl<S: CodeStore> FpTable<S> {
             } else if cur == 0 {
                 // ORD-DEDUP-GROW-008: Relaxed — the budget counter only
                 // bounds claims; the doubling synchronises through the lock.
-                if self.claims.fetch_add(1, Ordering::Relaxed) >= shared.entries.len() {
+                if self.claims.fetch_add(1, Ordering::Relaxed) >= shared.locs.len() {
                     self.claims.fetch_sub(1, Ordering::Relaxed);
                     return if shared.slots.len() < MAX_SLOTS {
                         Found::Full(shared.slots.len())
@@ -325,43 +476,61 @@ impl<S: CodeStore> FpTable<S> {
             slots[idx] = std::mem::take(old);
         }
         shared.slots = slots;
-        shared.entries.resize_with(seen, S::Entry::default);
+        shared.locs.resize_with(seen, AtomicU64::default);
+    }
+}
+
+/// A worker's right to intern into an [`FpTable`]: the only way to
+/// append to the worker's end of the code store.
+pub(crate) struct Writer<'t, S: CodeStore> {
+    table: &'t FpTable<S>,
+    tail: Tail,
+}
+
+impl<'t, S: CodeStore> Writer<'t, S> {
+    /// Opens a batch of interns: a read guard held until the batch drops.
+    pub(crate) fn batch(&mut self) -> Batch<'_, 't, S> {
+        let table = self.table;
+        Batch {
+            writer: self,
+            guard: Some(table.read()),
+        }
     }
 }
 
 /// A prober's hold on an [`FpTable`] across a batch of interns. The
 /// batch keeps the table's read guard between probes, giving it up only
 /// to double the table.
-pub(crate) struct Batch<'a, S: CodeStore> {
-    table: &'a FpTable<S>,
-    guard: Option<RwLockReadGuard<'a, Shared<S::Entry>>>,
+pub(crate) struct Batch<'w, 't, S: CodeStore> {
+    writer: &'w mut Writer<'t, S>,
+    guard: Option<RwLockReadGuard<'t, Shared>>,
 }
 
-impl<S: CodeStore> Batch<'_, S> {
+impl<S: CodeStore> Batch<'_, '_, S> {
     /// Finds or inserts the state whose canonical code `code` is
-    /// fingerprinted as `fp`, on behalf of `worker`.
+    /// fingerprinted as `fp`.
     ///
     /// A candidate sharing 96 fingerprint bits is confirmed through
     /// [`CodeStore::is_same`]; a fresh code is copied by
     /// [`CodeStore::publish`] before its id becomes visible, so only a
-    /// claimed id costs an allocation.
+    /// claimed id writes to the store.
     /// `should_abort()` bounds the publication-wait spin
     /// (ORD-DEDUP-SPIN-003).
     pub(crate) fn intern(
         &mut self,
-        worker: usize,
         fp: Fp128,
         code: &[u8],
         should_abort: impl Fn() -> bool,
     ) -> Probe {
+        let table = self.writer.table;
         loop {
             let shared = self.guard.as_ref().expect("a batch holds its guard");
-            match self.table.find(shared, fp, code, &should_abort) {
+            match table.find(shared, fp, code, &should_abort) {
                 Found::Done(probe) => return probe,
                 Found::Claimed(idx, id) => {
-                    self.table
-                        .store
-                        .publish(&shared.entries[id as usize], worker, id, code);
+                    let loc = table.store.publish(&mut self.writer.tail, id, code);
+                    // ORD-DEDUP-ARENA-009: Relaxed, published below.
+                    shared.locs[id as usize].store(loc, Ordering::Relaxed);
                     let meta = (u64::from(id) + 1) << 32 | u64::from(fp.hi as u32);
                     // ORD-DEDUP-META-002: Release-publish after payload.
                     shared.slots[idx].meta.store(meta, Ordering::Release);
@@ -369,8 +538,8 @@ impl<S: CodeStore> Batch<'_, S> {
                 }
                 Found::Full(seen) => {
                     self.guard = None;
-                    self.table.grow(seen);
-                    self.guard = Some(self.table.read());
+                    table.grow(seen);
+                    self.guard = Some(table.read());
                 }
             }
         }
@@ -427,7 +596,7 @@ struct SpillCounters {
 /// Each worker appends codes it interns to its own unlinked temp file
 /// (deleted from the namespace at creation; the kernel reclaims the
 /// blocks when the run drops the handle, even on panic). The packed
-/// location of every code is published through its id's table entry
+/// location of every code is published through its id's table locator
 /// before the dedup table's `meta` release, so any reader that found the
 /// id can decode where its code lives.
 pub(crate) struct SpillStore {
@@ -516,11 +685,10 @@ impl SpillStore {
     /// its spill range is below the flushed watermark), `None` when the
     /// bytes are still in another worker's unflushed buffer — the caller
     /// trusts the 128-bit fingerprint and bumps `unverified`.
-    fn matches(&self, loc: &AtomicU64, id: u32, code: &[u8]) -> Option<bool> {
+    fn matches(&self, loc: u64, id: u32, code: &[u8]) -> Option<bool> {
         if let Some(cached) = self.shard(id).lock().unwrap().codes.get(&id) {
             return Some(&**cached == code);
         }
-        let loc = loc.load(Ordering::Acquire);
         debug_assert!(loc & LOC_PUBLISHED != 0, "matches() before publish()");
         let offset = (loc >> LOC_OFFSET_SHIFT) & ((1 << 40) - 1);
         let len = (loc >> LOC_LEN_SHIFT & LOC_LEN_MASK) as usize;
@@ -544,11 +712,10 @@ impl SpillStore {
     /// if needed. Only sound after all workers have quiesced (used by the
     /// round-trip tests, not the hot path).
     #[cfg(test)]
-    pub(crate) fn read_back(&self, loc: &AtomicU64, id: u32) -> Box<[u8]> {
+    pub(crate) fn read_back(&self, loc: u64, id: u32) -> Box<[u8]> {
         if let Some(cached) = self.shard(id).lock().unwrap().codes.get(&id) {
             return cached.clone();
         }
-        let loc = loc.load(Ordering::Acquire);
         assert!(loc & LOC_PUBLISHED != 0);
         let offset = (loc >> LOC_OFFSET_SHIFT) & ((1 << 40) - 1);
         let len = (loc >> LOC_LEN_SHIFT & LOC_LEN_MASK) as usize;
@@ -563,9 +730,11 @@ impl SpillStore {
 }
 
 impl CodeStore for SpillStore {
-    type Entry = AtomicU64;
+    fn workers(&self) -> usize {
+        self.files.len()
+    }
 
-    fn is_same(&self, loc: &AtomicU64, id: u32, code: &[u8]) -> bool {
+    fn is_same(&self, loc: u64, id: u32, code: &[u8]) -> bool {
         self.matches(loc, id, code).unwrap_or_else(|| {
             // Still buffered by another worker: trust the 128-bit
             // fingerprint, count the leap of faith.
@@ -574,10 +743,10 @@ impl CodeStore for SpillStore {
         })
     }
 
-    /// Appends `code` for freshly claimed `id` on behalf of `worker` and
-    /// stores where it went in `loc`, the id's table entry. Runs before
-    /// the table's meta release, which orders the location store.
-    fn publish(&self, loc: &AtomicU64, worker: usize, id: u32, code: &[u8]) {
+    /// Appends `code` for freshly claimed `id` to the file of `tail`'s
+    /// worker and returns where it went.
+    fn publish(&self, tail: &mut Tail, id: u32, code: &[u8]) -> u64 {
+        let worker = tail.worker;
         debug_assert!(
             (code.len() as u64) <= LOC_LEN_MASK,
             "code too large to spill"
@@ -599,8 +768,7 @@ impl CodeStore for SpillStore {
             | (code.len() as u64) << LOC_LEN_SHIFT
             | worker as u64;
         self.cache(id, code.into());
-        // Ordered before the table's meta Release by ORD-DEDUP-META-002.
-        loc.store(packed, Ordering::Release);
+        packed
     }
 
     fn report<P: anonreg_obs::Probe>(&self, probe: &P) {
@@ -724,22 +892,31 @@ mod tests {
         false
     }
 
-    /// Interns `code` under its own fingerprint in a one-probe batch.
-    fn intern(table: &FpTable<InMemory>, code: &[u8]) -> Probe {
-        table.batch().intern(0, fp128(code), code, no_abort)
+    /// A table over an in-memory store for `workers` workers.
+    fn table(max_states: usize, workers: usize) -> FpTable<InMemory> {
+        FpTable::new(max_states, InMemory::new(workers))
     }
 
-    fn locs(n: usize) -> Vec<AtomicU64> {
-        (0..n).map(|_| AtomicU64::new(0)).collect()
+    /// The one writer of a one-worker table.
+    fn only_writer(table: &FpTable<InMemory>) -> Writer<'_, InMemory> {
+        let mut writers = table.writers();
+        assert_eq!(writers.len(), 1);
+        writers.pop().unwrap()
+    }
+
+    /// Interns `code` under its own fingerprint in a one-probe batch.
+    fn intern(writer: &mut Writer<'_, InMemory>, code: &[u8]) -> Probe {
+        writer.batch().intern(fp128(code), code, no_abort)
     }
 
     #[test]
     fn intern_assigns_dense_ids_and_finds_duplicates() {
-        let table = FpTable::new(1000, InMemory);
+        let table = table(1000, 1);
+        let mut w = only_writer(&table);
         let codes: Vec<Vec<u8>> = (0..100u32).map(|i| i.to_le_bytes().to_vec()).collect();
         let ids: Vec<u32> = codes
             .iter()
-            .map(|code| match intern(&table, code) {
+            .map(|code| match intern(&mut w, code) {
                 Probe::Fresh(id) => id,
                 other => panic!("expected fresh, got {other:?}"),
             })
@@ -750,103 +927,210 @@ mod tests {
         assert_eq!(sorted.len(), 100, "ids must be unique");
         assert_eq!(*sorted.last().unwrap(), 99, "ids must be dense");
         for (i, code) in codes.iter().enumerate() {
-            assert_eq!(intern(&table, code), Probe::Known(ids[i]));
+            assert_eq!(intern(&mut w, code), Probe::Known(ids[i]));
         }
         assert_eq!(table.len(), 100);
     }
 
-    /// Codes are borrowed: a dedup hit allocates nothing, and a fresh
-    /// intern allocates one block, the exact-size copy the table keeps.
+    /// A new table allocates its first slots, their locators and the
+    /// arenas' chunk directories, and no chunk.
+    #[test]
+    fn a_new_table_allocates_no_chunk() {
+        let (_table, allocated) = allocations(|| table(usize::MAX, 2));
+        let bytes = MIN_SLOTS * std::mem::size_of::<Slot>()
+            + MIN_SLOTS / 2 * std::mem::size_of::<AtomicU64>()
+            + 2 * std::mem::size_of::<Arena>();
+        assert_eq!(allocated, (3, bytes));
+    }
+
+    /// Codes are borrowed, and fresh ones append to the worker's arena:
+    /// fresh interns allocate one block per chunk they open, the chunk
+    /// itself, and nothing per code; a dedup hit allocates nothing.
     #[test]
     fn only_a_fresh_intern_allocates() {
-        let table = FpTable::new(100, InMemory);
-        let code = vec![0x5a; 358];
-        let fp = fp128(&code);
-        let mut batch = table.batch();
-        let (fresh, allocated) = allocations(|| batch.intern(0, fp, &code, no_abort));
-        assert_eq!(fresh, Probe::Fresh(0));
-        assert_eq!(allocated, (1, code.len()), "one exact-size copy");
-        let (known, allocated) = allocations(|| batch.intern(0, fp, &code, no_abort));
-        assert_eq!(known, Probe::Known(0));
-        assert_eq!(allocated, (0, 0), "a dedup hit allocates nothing");
+        let table = table(1000, 1);
+        let mut w = only_writer(&table);
+        // 400 codes of 49 bytes are 400 records of 8 words: five chunks,
+        // and within the first table generation's 512 claims.
+        let codes: Vec<Vec<u8>> = (0..400u32)
+            .map(|i| {
+                let mut code = vec![0x3c; 49];
+                code[..4].copy_from_slice(&i.to_le_bytes());
+                code
+            })
+            .collect();
+        let mut batch = w.batch();
+        let ((), allocated) = allocations(|| {
+            for code in &codes {
+                assert!(matches!(
+                    batch.intern(fp128(code), code, no_abort),
+                    Probe::Fresh(_)
+                ));
+            }
+        });
+        let (known, hit) = allocations(|| batch.intern(fp128(&codes[7]), &codes[7], no_abort));
+        assert_eq!(known, Probe::Known(7));
+        assert_eq!(hit, (0, 0), "a dedup hit allocates nothing");
+        drop(batch);
+        let chunks = w.tail.chunk + 1;
+        assert_eq!(chunks, 5);
+        let bytes: usize = (0..chunks).map(|k| chunk_words(k) * 8).sum();
+        assert_eq!(allocated, (chunks, bytes), "one block per chunk");
+    }
+
+    /// Codes of every length from 0 to 700 bytes, each with a twin that
+    /// differs in its last byte and one with a zero byte appended, and
+    /// one code longer than the first two chunks, interned by three
+    /// workers across several chunk boundaries: each is Known under its
+    /// own id, and its record matches its own code and no other.
+    #[test]
+    fn arena_round_trip_across_chunks_and_workers() {
+        const WORKERS: usize = 3;
+        let table = table(usize::MAX, WORKERS);
+        let mut writers = table.writers();
+        let mut codes: Vec<Vec<u8>> = vec![vec![0xa5; 5_000]];
+        for len in 0..=700usize {
+            let code: Vec<u8> = (0..len).map(|j| (len * 31 + j * 7) as u8).collect();
+            if let Some(&last) = code.last() {
+                // A twin that differs in the last, zero-padded word only.
+                let mut twin = code.clone();
+                *twin.last_mut().unwrap() = last ^ 0x80;
+                codes.push(twin);
+            }
+            // And one whose words equal this code's but for the length.
+            let mut longer = code.clone();
+            longer.push(0);
+            codes.push(longer);
+            codes.push(code);
+        }
+        let ids: Vec<u32> = codes
+            .iter()
+            .enumerate()
+            .map(|(i, code)| match intern(&mut writers[i % WORKERS], code) {
+                Probe::Fresh(id) => id,
+                other => panic!("code {i}: {other:?}"),
+            })
+            .collect();
+        for w in &writers {
+            assert!(
+                w.tail.chunk >= 4,
+                "worker {} filled chunks 0..={}",
+                w.tail.worker,
+                w.tail.chunk
+            );
+        }
+        for (i, code) in codes.iter().enumerate() {
+            assert_eq!(
+                intern(&mut writers[(i + 1) % WORKERS], code),
+                Probe::Known(ids[i])
+            );
+        }
+        let shared = table.read();
+        for (i, &id) in ids.iter().enumerate() {
+            let loc = shared.locs[id as usize].load(Ordering::Relaxed);
+            for (j, other) in codes.iter().enumerate() {
+                assert_eq!(
+                    table.store().is_same(loc, id, other),
+                    i == j,
+                    "record {i} against code {j}"
+                );
+            }
+        }
+    }
+
+    /// Each worker's end of the store has one writer: a table makes its
+    /// writers once.
+    #[test]
+    #[should_panic(expected = "a table makes its writers once")]
+    fn writers_are_made_once() {
+        let table = table(100, 2);
+        let _first = table.writers();
+        let _second = table.writers();
     }
 
     #[test]
     fn forced_fingerprint_collisions_probe_to_distinct_slots() {
         // Same 128-bit fingerprint, genuinely different states: the code
         // comparison disambiguates and each gets its own id.
-        let table = FpTable::new(100, InMemory);
+        let table = table(100, 1);
+        let mut w = only_writer(&table);
         let fp = Fp128 { lo: 42, hi: 7 };
-        let mut batch = table.batch();
-        let a = match batch.intern(0, fp, b"a", no_abort) {
+        let mut batch = w.batch();
+        let a = match batch.intern(fp, b"a", no_abort) {
             Probe::Fresh(id) => id,
             other => panic!("{other:?}"),
         };
-        let b = match batch.intern(0, fp, b"b", no_abort) {
+        let b = match batch.intern(fp, b"b", no_abort) {
             Probe::Fresh(id) => id,
             other => panic!("{other:?}"),
         };
         assert_ne!(a, b);
         // Each is findable by its own code.
-        assert_eq!(batch.intern(0, fp, b"a", no_abort), Probe::Known(a));
-        assert_eq!(batch.intern(0, fp, b"b", no_abort), Probe::Known(b));
+        assert_eq!(batch.intern(fp, b"a", no_abort), Probe::Known(a));
+        assert_eq!(batch.intern(fp, b"b", no_abort), Probe::Known(b));
     }
 
     #[test]
     fn zero_low_half_is_storable() {
-        let table = FpTable::new(100, InMemory);
+        let table = table(100, 1);
+        let mut w = only_writer(&table);
         let fp = Fp128 { lo: 0, hi: 99 };
-        let mut batch = table.batch();
-        assert_eq!(batch.intern(0, fp, b"z", no_abort), Probe::Fresh(0));
-        assert_eq!(batch.intern(0, fp, b"z", no_abort), Probe::Known(0));
+        let mut batch = w.batch();
+        assert_eq!(batch.intern(fp, b"z", no_abort), Probe::Fresh(0));
+        assert_eq!(batch.intern(fp, b"z", no_abort), Probe::Known(0));
     }
 
     #[test]
     fn limit_is_enforced_and_published() {
         // MIN_SLOTS floors the table, but the limit still honours max_states.
-        let table = FpTable::new(3, InMemory);
+        let table = table(3, 1);
+        let mut w = only_writer(&table);
         for i in 0..3u32 {
-            assert!(matches!(intern(&table, &i.to_le_bytes()), Probe::Fresh(_)));
+            assert!(matches!(intern(&mut w, &i.to_le_bytes()), Probe::Fresh(_)));
         }
-        assert_eq!(intern(&table, b"one too many"), Probe::Limit);
+        assert_eq!(intern(&mut w, b"one too many"), Probe::Limit);
         // The sentinel is published: re-probing the same fingerprint
         // reports Limit instead of spinning.
-        assert_eq!(intern(&table, b"one too many"), Probe::Limit);
+        assert_eq!(intern(&mut w, b"one too many"), Probe::Limit);
         assert_eq!(table.len(), 3);
     }
 
     /// A table starts small and doubles as it fills, whatever the cap.
     #[test]
     fn table_grows_with_the_states_not_the_cap() {
-        let table = FpTable::new(usize::MAX, InMemory);
+        let table = table(usize::MAX, 1);
+        let mut w = only_writer(&table);
         assert_eq!(table.capacity(), MIN_SLOTS);
         for i in 0..5_000u32 {
-            assert_eq!(intern(&table, &i.to_le_bytes()), Probe::Fresh(i));
+            assert_eq!(intern(&mut w, &i.to_le_bytes()), Probe::Fresh(i));
         }
         // Half full at most, and no more than one doubling past that.
         assert_eq!(table.capacity(), 16 * 1024);
         for i in 0..5_000u32 {
-            assert_eq!(intern(&table, &i.to_le_bytes()), Probe::Known(i));
+            assert_eq!(intern(&mut w, &i.to_le_bytes()), Probe::Known(i));
         }
     }
 
     /// Seeded multi-threaded hammer: every thread interns the same key
-    /// universe in a seed-dependent order; exactly one Fresh claim per
-    /// key may win, and all threads must agree on the id each key got.
+    /// universe in a seed-dependent order, each through its own writer;
+    /// exactly one Fresh claim per key may win, and all threads must
+    /// agree on the id each key got.
     #[test]
     fn concurrent_interns_agree_on_ids() {
         const THREADS: usize = 4;
         const KEYS: usize = 256;
         for seed in 0u64..8 {
-            let table = FpTable::new(KEYS * 2, InMemory);
+            let table = table(KEYS * 2, THREADS);
             let barrier = Barrier::new(THREADS);
             let codes: Vec<[u8; 8]> = (0..KEYS)
                 .map(|i| (i as u64 ^ seed << 32).to_le_bytes())
                 .collect();
             let observed: Vec<Vec<u32>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..THREADS)
-                    .map(|t| {
-                        let table = &table;
+                let handles: Vec<_> = table
+                    .writers()
+                    .into_iter()
+                    .enumerate()
+                    .map(|(t, mut w)| {
                         let codes = &codes;
                         let barrier = &barrier;
                         s.spawn(move || {
@@ -859,7 +1143,7 @@ mod tests {
                             for step in 0..KEYS {
                                 let i = k;
                                 k = (k + stride) % KEYS;
-                                match intern(table, &codes[i]) {
+                                match intern(&mut w, &codes[i]) {
                                     Probe::Fresh(id) | Probe::Known(id) => ids[i] = id,
                                     other => panic!("step {step}: {other:?}"),
                                 }
@@ -893,12 +1177,15 @@ mod tests {
     fn concurrent_interns_survive_growth() {
         const THREADS: usize = 4;
         const KEYS: usize = 200_000;
-        let table = FpTable::new(usize::MAX, InMemory);
+        let table = table(usize::MAX, THREADS);
         let barrier = Barrier::new(THREADS);
-        let fresh: Vec<Vec<(usize, u32)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let (table, barrier) = (&table, &barrier);
+        let (fresh, mut writers): (Vec<Vec<(usize, u32)>>, Vec<_>) = std::thread::scope(|s| {
+            let handles: Vec<_> = table
+                .writers()
+                .into_iter()
+                .enumerate()
+                .map(|(t, mut w)| {
+                    let barrier = &barrier;
                     s.spawn(move || {
                         barrier.wait();
                         let mut fresh = Vec::new();
@@ -907,21 +1194,21 @@ mod tests {
                         let keys: Vec<usize> =
                             (0..KEYS).map(|k| (k + t * KEYS / 4) % KEYS).collect();
                         for chunk in keys.chunks(8) {
-                            let mut batch = table.batch();
+                            let mut batch = w.batch();
                             for &k in chunk {
                                 let code = (k as u64).to_le_bytes();
-                                match batch.intern(t, fp128(&code), &code, no_abort) {
+                                match batch.intern(fp128(&code), &code, no_abort) {
                                     Probe::Fresh(id) => fresh.push((k, id)),
                                     Probe::Known(_) => {}
                                     other => panic!("key {k}: {other:?}"),
                                 }
                             }
                         }
-                        fresh
+                        (fresh, w)
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+            handles.into_iter().map(|h| h.join().unwrap()).unzip()
         });
         let mut id_of = vec![u32::MAX; KEYS];
         for (k, id) in fresh.into_iter().flatten() {
@@ -934,7 +1221,10 @@ mod tests {
         assert_eq!(table.len(), KEYS);
         assert!(table.capacity() <= 4 * KEYS, "{} slots", table.capacity());
         for (k, &id) in id_of.iter().enumerate() {
-            assert_eq!(intern(&table, &(k as u64).to_le_bytes()), Probe::Known(id));
+            assert_eq!(
+                intern(&mut writers[k % THREADS], &(k as u64).to_le_bytes()),
+                Probe::Known(id)
+            );
         }
     }
 
@@ -944,20 +1234,23 @@ mod tests {
     fn concurrent_growth_stops_at_the_limit() {
         const THREADS: usize = 4;
         const LIMIT: usize = 60_000;
-        let table = FpTable::new(LIMIT, InMemory);
+        let table = table(LIMIT, THREADS);
         let aborted = AtomicBool::new(false);
         let barrier = Barrier::new(THREADS);
-        let fresh: Vec<Vec<(u64, u32)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..THREADS as u64)
-                .map(|t| {
-                    let (table, aborted, barrier) = (&table, &aborted, &barrier);
+        let (fresh, mut writers): (Vec<Vec<(u64, u32)>>, Vec<_>) = std::thread::scope(|s| {
+            let handles: Vec<_> = table
+                .writers()
+                .into_iter()
+                .zip(0u64..)
+                .map(|(mut w, t)| {
+                    let (aborted, barrier) = (&aborted, &barrier);
                     s.spawn(move || {
                         barrier.wait();
                         let mut fresh = Vec::new();
                         for i in 0..LIMIT as u64 {
                             let code = (i * THREADS as u64 + t).to_le_bytes();
                             let should_abort = || aborted.load(Ordering::Relaxed);
-                            match table.batch().intern(0, fp128(&code), &code, should_abort) {
+                            match w.batch().intern(fp128(&code), &code, should_abort) {
                                 Probe::Fresh(id) => fresh.push((i * THREADS as u64 + t, id)),
                                 Probe::Known(_) => panic!("keys are disjoint"),
                                 Probe::Limit | Probe::Aborted => {
@@ -966,11 +1259,11 @@ mod tests {
                                 }
                             }
                         }
-                        fresh
+                        (fresh, w)
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+            handles.into_iter().map(|h| h.join().unwrap()).unzip()
         });
         let fresh: Vec<(u64, u32)> = fresh.into_iter().flatten().collect();
         let mut ids: Vec<u32> = fresh.iter().map(|&(_, id)| id).collect();
@@ -978,7 +1271,8 @@ mod tests {
         assert_eq!(ids, (0..LIMIT as u32).collect::<Vec<_>>());
         assert_eq!(table.len(), LIMIT);
         for (key, id) in fresh {
-            assert_eq!(intern(&table, &key.to_le_bytes()), Probe::Known(id));
+            let w = &mut writers[key as usize % THREADS];
+            assert_eq!(intern(w, &key.to_le_bytes()), Probe::Known(id));
         }
     }
 
@@ -987,19 +1281,18 @@ mod tests {
     #[test]
     fn concurrent_limit_race_terminates() {
         const THREADS: usize = 4;
-        let table = FpTable::new(8, InMemory);
+        let table = table(8, THREADS);
         let aborted = AtomicBool::new(false);
         let fresh = AtomicUsize::new(0);
         std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let table = &table;
+            for (t, mut w) in table.writers().into_iter().enumerate() {
                 let aborted = &aborted;
                 let fresh = &fresh;
                 s.spawn(move || {
                     for i in 0..64u64 {
                         let code = (i * THREADS as u64 + t as u64).to_le_bytes();
                         let should_abort = || aborted.load(Ordering::Relaxed);
-                        match table.batch().intern(t, fp128(&code), &code, should_abort) {
+                        match w.batch().intern(fp128(&code), &code, should_abort) {
                             Probe::Fresh(_) => {
                                 fresh.fetch_add(1, Ordering::Relaxed);
                             }
@@ -1035,13 +1328,15 @@ mod tests {
                     .collect()
             })
             .collect();
-        let locs = locs(codes.len());
-        for (i, code) in codes.iter().enumerate() {
-            spill.publish(&locs[i], i % 2, i as u32, code);
-        }
+        let mut tails = [Tail::new(0), Tail::new(1)];
+        let locs: Vec<u64> = codes
+            .iter()
+            .enumerate()
+            .map(|(i, code)| spill.publish(&mut tails[i % 2], i as u32, code))
+            .collect();
         for (i, code) in codes.iter().enumerate() {
             assert_eq!(
-                spill.read_back(&locs[i], i as u32),
+                spill.read_back(locs[i], i as u32),
                 *code,
                 "round-trip mismatch at id {i}"
             );
@@ -1066,18 +1361,20 @@ mod tests {
                     .collect()
             })
             .collect();
-        let locs = locs(codes.len());
-        for (i, code) in codes.iter().enumerate() {
-            spill.publish(&locs[i], 0, i as u32, code);
-        }
+        let mut tail = Tail::new(0);
+        let locs: Vec<u64> = codes
+            .iter()
+            .enumerate()
+            .map(|(i, code)| spill.publish(&mut tail, i as u32, code))
+            .collect();
         let mut unverified = 0u32;
         for (i, code) in codes.iter().enumerate() {
-            match spill.matches(&locs[i], i as u32, code) {
+            match spill.matches(locs[i], i as u32, code) {
                 Some(equal) => assert!(equal, "own code must match at {i}"),
                 None => unverified += 1, // tail still in the write buffer
             }
             assert_ne!(
-                spill.matches(&locs[i], i as u32, b"definitely not that code"),
+                spill.matches(locs[i], i as u32, b"definitely not that code"),
                 Some(true),
                 "wrong code must not match at {i}"
             );

@@ -17,16 +17,23 @@
 //!   canonical code (the Arc-style publication idiom; orderings are
 //!   certified in `explore/dedup.rs` and
 //!   `anonreg_sanitizer::explorer_site_notes`). Canonical codes live in
-//!   the table's id-indexed entries, or — with [`ExploreConfig::spill`] —
-//!   in per-worker temp files behind a sharded LRU tier ([`SpillStore`]),
-//!   so code bytes no longer bound the state count by RAM.
+//!   per-worker append-only arenas of words ([`InMemory`]), or — with
+//!   [`ExploreConfig::spill`] — in per-worker temp files behind a sharded
+//!   LRU tier ([`SpillStore`]), so code bytes no longer bound the state
+//!   count by RAM. The table keeps one 8-byte locator per id.
 //! * **Codes are borrowed until they are fresh** — a worker encodes a
 //!   batch of successors back to back into one reused byte buffer and
 //!   fingerprints each code in place; the table compares that slice
-//!   against stored codes and copies it into an exact-size allocation
-//!   only when it claims a new id. A dedup hit allocates nothing, so the
-//!   hot loop does not churn the allocator (with two workers that churn
-//!   convoyed on malloc's arena locks).
+//!   against stored codes and appends it to the worker's own arena only
+//!   when it claims a new id. Neither a dedup hit nor a fresh code
+//!   allocates (an arena allocates a chunk at a time), so the hot loop
+//!   does not churn the allocator (with two workers that churn convoyed
+//!   on malloc's arena locks), and a run frees its codes a chunk at a
+//!   time.
+//! * **Shared words on their own cache lines** — the table's lock and
+//!   counters, the `pending`, `aborted` and `max_depth` words and each
+//!   worker's queue sit on cache lines of their own ([`Padded`]), so one
+//!   worker's writes do not evict what its siblings read.
 //! * **Successors are refilled in place** — each worker keeps a pool of
 //!   successor entries across expansions and refills each from the
 //!   expanded state with `clone_from`, which reuses the entry's register,
@@ -82,7 +89,7 @@ use anonreg_model::fingerprint::{fp128, Fp128};
 use anonreg_model::{Machine, SymmetryMode};
 use anonreg_obs::{Metric, Phase, PhaseTimer, Probe, Profiler, Span};
 
-use super::dedup::{CodeStore, FpTable, InMemory, Probe as TableProbe, SpillStore};
+use super::dedup::{CodeStore, FpTable, InMemory, Padded, Probe as TableProbe, SpillStore, Writer};
 use super::{Edge, ExploreConfig, ExploreError, ExploreStats, Parent, StateGraph};
 use crate::canon::StateEncoder;
 use crate::{Simulation, StepOutcome};
@@ -413,20 +420,21 @@ struct Ctx<M: Machine, S: CodeStore> {
     /// Graph mode only.
     sink: Option<Mutex<GraphSink<M>>>,
     /// One frontier deque per worker.
-    queues: Vec<Mutex<VecDeque<WorkItem<M>>>>,
+    queues: Vec<Padded<Mutex<VecDeque<WorkItem<M>>>>>,
     /// Discovered-but-unexpanded states (see module docs).
     /// ORD-EXP-PENDING-005: Relaxed — on this single counter, every
     /// child's increment precedes its parent's decrement in the
     /// incrementing thread's program order, so coherence alone
     /// guarantees a zero is only ever observed once the frontier is
     /// truly drained.
-    pending: AtomicUsize,
+    pending: Padded<AtomicUsize>,
     /// Advisory stop flag (state limit hit or a sibling panicked).
     /// ORD-EXP-ABORT-007: Relaxed — no data rides on it; the authoritative
     /// error is decided on the calling thread after the joins.
-    aborted: AtomicBool,
-    /// Maximum discovery depth seen.
-    max_depth: AtomicU64,
+    aborted: Padded<AtomicBool>,
+    /// Maximum discovery depth seen. A worker raises it only when its own
+    /// deepest discovery grows.
+    max_depth: Padded<AtomicU64>,
     crashes: bool,
     por: bool,
 }
@@ -466,6 +474,8 @@ struct WorkerOut {
     steals: u64,
     /// Transitions recorded.
     edge_total: u64,
+    /// Deepest discovery depth this worker saw.
+    max_depth: u64,
     /// Ample-set reduction tallies.
     por: PorTally,
 }
@@ -491,9 +501,11 @@ fn pop_work<M: Machine, S: CodeStore>(
     None
 }
 
-/// One worker's main loop.
+/// One worker's main loop; `writer` is worker `me`'s writer of the
+/// dedup table.
 fn worker<M, P, S>(
     me: usize,
+    mut writer: Writer<'_, S>,
     ctx: &Ctx<M, S>,
     probe: &P,
     encoder: &StateEncoder<M>,
@@ -583,11 +595,11 @@ where
             if let Some(t) = timer.as_mut() {
                 t.switch(ctx.intern_phase);
             }
-            let mut table = ctx.table.batch();
+            let mut table = writer.batch();
             for (i, span, fp) in batch.drain(..) {
                 let succ = &mut successors[i];
                 let code = &codes[span];
-                let target = match table.intern(me, fp, code, should_abort) {
+                let target = match table.intern(fp, code, should_abort) {
                     TableProbe::Known(t) => {
                         out.dedup += 1;
                         t
@@ -611,8 +623,10 @@ where
                                 },
                                 sim: succ.sim.take().expect("live entries are filled"),
                             });
-                        ctx.max_depth
-                            .fetch_max(u64::from(depth) + 1, Ordering::Relaxed);
+                        if u64::from(depth) + 1 > out.max_depth {
+                            out.max_depth = u64::from(depth) + 1;
+                            ctx.max_depth.fetch_max(out.max_depth, Ordering::Relaxed);
+                        }
                         t
                     }
                     TableProbe::Limit | TableProbe::Aborted => {
@@ -632,6 +646,9 @@ where
             }
         }
         if let Some(sink) = &ctx.sink {
+            if let Some(t) = timer.as_mut() {
+                t.switch(Phase::Record);
+            }
             sink.lock()
                 .expect("sink lock")
                 .record(id as usize, state, parent, &mut edges_out);
@@ -691,12 +708,15 @@ where
         let ctx = Ctx::new(config, threads, collect_graph, store, Phase::Spill);
         explore(ctx, initial, config, probe, encoder, profiler)
     } else {
-        let ctx = Ctx::new(config, threads, collect_graph, InMemory, Phase::Dedup);
+        let store = InMemory::new(threads);
+        let ctx = Ctx::new(config, threads, collect_graph, store, Phase::Dedup);
         explore(ctx, initial, config, probe, encoder, profiler)
     }
 }
 
 impl<M: Machine, S: CodeStore> Ctx<M, S> {
+    /// The shared state of a run on `threads` workers, each of which
+    /// appends to its own end of `store`.
     fn new(
         config: &ExploreConfig,
         threads: usize,
@@ -704,6 +724,7 @@ impl<M: Machine, S: CodeStore> Ctx<M, S> {
         store: S,
         intern_phase: Phase,
     ) -> Self {
+        debug_assert_eq!(store.workers(), threads);
         Ctx {
             table: FpTable::new(config.max_states, store),
             intern_phase,
@@ -715,10 +736,10 @@ impl<M: Machine, S: CodeStore> Ctx<M, S> {
                     parents: Vec::new(),
                 })
             }),
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            aborted: AtomicBool::new(false),
-            max_depth: AtomicU64::new(0),
+            queues: (0..threads).map(|_| Padded::default()).collect(),
+            pending: Padded::default(),
+            aborted: Padded::default(),
+            max_depth: Padded::default(),
             crashes: config.crashes,
             por: config.por,
         }
@@ -758,7 +779,8 @@ where
         encoding.report(probe, 0);
     }
     let fp = fp128(&code);
-    match ctx.table.batch().intern(0, fp, &code, || false) {
+    let mut writers = ctx.table.writers();
+    match writers[0].batch().intern(fp, &code, || false) {
         TableProbe::Fresh(id) => debug_assert_eq!(id, 0, "first interned state is state 0"),
         TableProbe::Known(_) | TableProbe::Aborted => {
             unreachable!("the dedup table starts empty and nothing can abort yet")
@@ -784,18 +806,20 @@ where
             sim: initial,
         });
 
-    let threads = ctx.queues.len();
-    let joins: Vec<std::thread::Result<WorkerOut>> = if threads == 1 {
+    let joins: Vec<std::thread::Result<WorkerOut>> = if writers.len() == 1 {
         // The lone worker runs here: a run pays no thread spawn.
+        let writer = writers.pop().expect("one writer");
         vec![std::panic::catch_unwind(AssertUnwindSafe(|| {
-            worker(0, &ctx, probe, encoder, profiler)
+            worker(0, writer, &ctx, probe, encoder, profiler)
         }))]
     } else {
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|i| {
+            let handles: Vec<_> = writers
+                .into_iter()
+                .enumerate()
+                .map(|(i, writer)| {
                     let ctx = &ctx;
-                    s.spawn(move || worker(i, ctx, probe, encoder, profiler))
+                    s.spawn(move || worker(i, writer, ctx, probe, encoder, profiler))
                 })
                 .collect();
             handles

@@ -12,7 +12,7 @@
 //! * counting units (`states`, `edges`, `bool`, …) must match
 //!   **exactly** for parity runs — a parallel exploration that loses
 //!   states is a bug, not noise. Runs that *declare* a state-space
-//!   reduction (a symmetry mode other than `off`, or POR — detected by
+//!   reduction (`full` symmetry or POR — detected by
 //!   the [`Thresholds::reduced_markers`] name segments the experiment
 //!   naming schemes embed) compare `states`/`edges` **lower-better**
 //!   instead: a tighter reduction is an improvement, only a *grown*
@@ -101,7 +101,7 @@ impl Default for Thresholds {
             max_drop_ratio: 1.5,
             allow_missing: false,
             require: Vec::new(),
-            reduced_markers: ["registers", "full", "por"].map(str::to_string).to_vec(),
+            reduced_markers: ["full", "por"].map(str::to_string).to_vec(),
         }
     }
 }
@@ -445,7 +445,7 @@ mod tests {
     fn reduced_run_counts_are_lower_better() {
         for name in [
             "mutex_m3_l3_full_t4_states",
-            "consensus_n3_r2_registers_t4_edges",
+            "consensus_n3_r2_full_t4_edges",
             "mutex_m4_l3_por_t1_states",
         ] {
             let before = vec![metric(name, 5000.0, "states")];

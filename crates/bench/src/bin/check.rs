@@ -36,9 +36,9 @@ fn usage() -> ExitCode {
          [--json FILE] [--stream FILE] [--stream-interval-ms N]   \
          parallel-explorer scaling benchmark (E14); --stream tails live schema-v2 \
          deltas + progress to FILE\n\
-         \x20      check explore --symmetry <off|registers|full> [--n N] [--registers N] \
+         \x20      check explore --symmetry [--n N] [--registers N] \
          [--threads N] [--max-states N] [--json FILE] [--stream FILE]   \
-         symmetry-reduction benchmark (E16) with verdict parity\n\
+         symmetry-reduction benchmark (E16): off vs full with verdict parity\n\
          \x20      check explore --scale [--quick] [--threads N] [--max-states N] \
          [--json FILE] [--stream FILE]   stats-mode scale run (E19) \
          with POR + disk spill; --quick runs the CI-sized space with the exact-count anchor\n\
@@ -458,14 +458,13 @@ impl LiveStream {
     }
 }
 
-/// `check explore --symmetry MODE` — the symmetry-reduction benchmark
+/// `check explore --symmetry` — the symmetry-reduction benchmark
 /// (experiment E16): explore the symmetric Figure 2 consensus space
-/// under all three symmetry modes at `threads` threads (verdict parity
-/// is hard-asserted inside
+/// with symmetry off and full at `threads` threads (verdict parity is
+/// hard-asserted inside
 /// [`e16_symmetry::rows`](anonreg_bench::e16_symmetry::rows)) and print the
-/// reduction table; `mode` is recorded in the JSONL meta line.
+/// reduction table.
 fn explore_symmetry_main(
-    mode: SymmetryMode,
     n: usize,
     registers: usize,
     threads: usize,
@@ -481,7 +480,7 @@ fn explore_symmetry_main(
     let workload = e16_symmetry::Workload::SymmetricConsensus { n, registers };
     println!(
         "symmetry-reduced exploration: symmetric Figure 2 consensus, n = {n}, \
-         {registers} registers, {threads} threads, off vs registers vs full"
+         {registers} registers, {threads} threads, off vs full"
     );
     let live = match stream {
         Some((path, interval_ms)) => {
@@ -510,7 +509,7 @@ fn explore_symmetry_main(
         }
     }
     println!("{}", e16_symmetry::render(&rows));
-    println!("verdict parity across off/registers/full: ok");
+    println!("verdict parity across off/full: ok");
 
     if let Some(path) = json_path {
         let mut out = meta_line(
@@ -519,7 +518,6 @@ fn explore_symmetry_main(
                 ("n", Json::U64(n as u64)),
                 ("registers", Json::U64(registers as u64)),
                 ("threads", Json::U64(threads as u64)),
-                ("mode", Json::Str(mode.to_string())),
             ],
         )
         .render();
@@ -625,7 +623,8 @@ fn explore_scale_main(
 /// exact same state and edge counts, print the scaling table, and
 /// optionally export schema-v1 JSONL (`--json`). Floors on the exported
 /// metrics are enforced by `check bench-diff --require`.
-/// With `--symmetry`, runs the E16 symmetry-reduction flow instead.
+/// With `--symmetry`, runs the E16 symmetry-reduction flow instead;
+/// `--quick` belongs to `--scale` alone.
 fn explore_main(raw: &[String]) -> ExitCode {
     use anonreg_bench::{benchjson, e14_scaling};
     use anonreg_obs::schema::meta_line;
@@ -636,7 +635,7 @@ fn explore_main(raw: &[String]) -> ExitCode {
     let mut threads = 4usize;
     let mut max_states: Option<usize> = None;
     let mut json_path: Option<String> = None;
-    let mut symmetry: Option<SymmetryMode> = None;
+    let mut symmetry = false;
     let mut scale = false;
     let mut quick = false;
     let mut stream_path: Option<String> = None;
@@ -646,6 +645,10 @@ fn explore_main(raw: &[String]) -> ExitCode {
         match flag.as_str() {
             "--scale" => {
                 scale = true;
+                continue;
+            }
+            "--symmetry" => {
+                symmetry = true;
                 continue;
             }
             "--quick" => {
@@ -665,14 +668,6 @@ fn explore_main(raw: &[String]) -> ExitCode {
                     return usage();
                 };
                 stream_interval_ms = v;
-            }
-            "--symmetry" => {
-                symmetry = Some(match value.as_str() {
-                    "off" => SymmetryMode::Off,
-                    "registers" => SymmetryMode::Registers,
-                    "full" => SymmetryMode::Full,
-                    _ => return usage(),
-                });
             }
             "--n" | "--registers" | "--threads" | "--max-states" => {
                 let Ok(v) = value.parse::<usize>() else {
@@ -699,10 +694,13 @@ fn explore_main(raw: &[String]) -> ExitCode {
             stream_path.as_deref().map(|p| (p, stream_interval_ms)),
         );
     }
+    if quick {
+        eprintln!("--quick requires --scale");
+        return usage();
+    }
     let max_states = max_states.unwrap_or(4_000_000);
-    if let Some(mode) = symmetry {
+    if symmetry {
         return explore_symmetry_main(
-            mode,
             n,
             registers,
             threads,
@@ -710,10 +708,6 @@ fn explore_main(raw: &[String]) -> ExitCode {
             json_path.as_ref(),
             stream_path.as_deref().map(|p| (p, stream_interval_ms)),
         );
-    }
-    if quick {
-        eprintln!("--quick requires --scale");
-        return usage();
     }
 
     println!(

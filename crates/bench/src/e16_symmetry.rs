@@ -6,11 +6,11 @@
 //! the Theorem 3.4 sense (identifiers are compared, never computed
 //! with). Both symmetries induce automorphisms of the reachable state
 //! graph, so the explorer only needs one representative per orbit. This
-//! experiment measures that payoff: each workload is explored under
-//! `--symmetry off`, `registers` and `full` and the table reports how
-//! many fewer states (and edges) each mode stores, with verdict parity
-//! hard-asserted — a reduction that changed a verdict would be a
-//! soundness bug, not a measurement.
+//! experiment measures that payoff: each workload is explored with
+//! symmetry `off` and `full` and the table reports how many fewer states
+//! (and edges) `full` stores, with verdict parity hard-asserted — a
+//! reduction that changed a verdict would be a soundness bug, not a
+//! measurement.
 //!
 //! Two workloads bracket the group sizes that arise in practice:
 //!
@@ -23,10 +23,10 @@
 //!   registers. Fully interchangeable processes admit the symmetric
 //!   group `S_n`, the best case for `full` (`n!`-fold ceiling).
 //!
-//! `Registers` mode is expected to report ~1.0x here: both algorithms
-//! stamp identifiers into registers, so distinct slots essentially never
-//! reach bit-identical local states — the honest baseline that motivates
-//! the identifier-renaming half of `full`.
+//! Register and slot permutations alone (without identifier renaming)
+//! reduce neither workload: every process keeps its pid in its local
+//! state, so distinct slots never reach identical local states. The
+//! identifier-renaming half of `full` is what makes the reduction.
 
 use std::time::{Duration, Instant};
 
@@ -184,8 +184,8 @@ fn verdict(
     }
 }
 
-/// Explores `workload` once per symmetry mode (`off`, `registers`,
-/// `full`, in that order) at `threads` threads.
+/// Explores `workload` once per symmetry mode (`off`, then `full`) at
+/// `threads` threads.
 ///
 /// # Errors
 ///
@@ -194,9 +194,9 @@ fn verdict(
 ///
 /// # Panics
 ///
-/// Panics if any mode's safety verdict diverges from the `off`
-/// baseline, or a reduced mode stores *more* states than `off` — either
-/// would be a canonicalization soundness bug, not a measurement.
+/// Panics if the `full` safety verdict diverges from the `off`
+/// baseline, or `full` stores *more* states than `off` — either would
+/// be a canonicalization soundness bug, not a measurement.
 pub fn rows(
     workload: Workload,
     threads: usize,
@@ -221,14 +221,9 @@ pub fn rows_with(
     max_states: usize,
     ins: &Instruments<'_>,
 ) -> Result<Vec<Row>, ExploreError> {
-    const MODES: [SymmetryMode; 3] = [
-        SymmetryMode::Off,
-        SymmetryMode::Registers,
-        SymmetryMode::Full,
-    ];
     let mut out: Vec<Row> = Vec::new();
     let mut baseline_verdict: Option<bool> = None;
-    for mode in MODES {
+    for mode in SymmetryMode::ALL {
         let start = Instant::now();
         let (states, edges, violated) = match workload {
             Workload::MutexRing { m, procs } => {
@@ -366,12 +361,12 @@ mod tests {
     #[test]
     fn quick_mutex_sweep_reduces_and_agrees() {
         let rows = rows(Workload::MutexRing { m: 2, procs: 2 }, 1, 200_000).unwrap();
-        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].mode, SymmetryMode::Off);
         assert!(rows[0].states > 100);
         // Full strictly reduces even this 2-process ring.
-        assert!(rows[2].states < rows[0].states);
-        assert!(rows[2].reduction_over(&rows[0]) > 1.0);
+        assert!(rows[1].states < rows[0].states);
+        assert!(rows[1].reduction_over(&rows[0]) > 1.0);
     }
 
     #[test]
@@ -386,7 +381,7 @@ mod tests {
         // halving (diagonal states fixed by the swap are their own
         // orbits, so the ratio lands just under 2.0 on tiny spaces).
         assert!(
-            rows[2].reduction_over(&rows[0]) > 1.9,
+            rows[1].reduction_over(&rows[0]) > 1.9,
             "expected ~2x, rows: {rows:?}"
         );
     }
@@ -401,87 +396,6 @@ mod tests {
         // states/edges/time/reduction for every row.
         assert_eq!(metrics.len(), 4 * rows.len());
         assert!(metrics.iter().all(|m| m.experiment == "E16"));
-    }
-
-    /// The E16 regression this PR fixes: `Registers` mode on workloads
-    /// whose pids pin every slot (the ring mutex, the symmetric
-    /// consensus) used to pay full orbit-search cost for provably zero
-    /// reduction — 14% slower than `off` at identical counts in
-    /// `BENCH_explore.json`. The encoder now detects that at build time
-    /// and takes the identity fast path. Deterministic assertion, not a
-    /// wall-clock one: the probe must report *skipped* encodes and no
-    /// canonicalization time at one worker and at several.
-    #[test]
-    fn registers_fast_path_skips_trivial_orbits_on_both_engines() {
-        use anonreg_obs::{MemProbe, Metric};
-
-        for workload in [
-            Workload::MutexRing { m: 2, procs: 2 },
-            Workload::SymmetricConsensus { n: 2, registers: 2 },
-        ] {
-            let baseline = {
-                let probe = MemProbe::new();
-                match workload {
-                    Workload::MutexRing { m, procs } => Explorer::new(mutex_ring_sim(m, procs))
-                        .max_states(200_000)
-                        .probe(&probe)
-                        .run_stats()
-                        .unwrap(),
-                    Workload::SymmetricConsensus { n, registers } => {
-                        Explorer::new(symmetric_consensus_sim(n, registers))
-                            .max_states(200_000)
-                            .probe(&probe)
-                            .run_stats()
-                            .unwrap()
-                    }
-                }
-            };
-            for threads in [1usize, 2] {
-                let probe = MemProbe::new();
-                let run = |probe: &MemProbe| match workload {
-                    Workload::MutexRing { m, procs } => Explorer::new(mutex_ring_sim(m, procs))
-                        .max_states(200_000)
-                        .parallelism(threads)
-                        .probe(probe)
-                        .symmetry(SymmetryMode::Registers)
-                        .run_stats()
-                        .unwrap(),
-                    Workload::SymmetricConsensus { n, registers } => {
-                        Explorer::new(symmetric_consensus_sim(n, registers))
-                            .max_states(200_000)
-                            .parallelism(threads)
-                            .probe(probe)
-                            .symmetry(SymmetryMode::Registers)
-                            .run_stats()
-                            .unwrap()
-                    }
-                };
-                let stats = run(&probe);
-                let snap = probe.snapshot();
-                let slug = workload.slug();
-                assert!(
-                    snap.counter_total(Metric::CanonSkipped) > 0,
-                    "{slug} t{threads}: fast path did not engage"
-                );
-                assert_eq!(
-                    snap.counter_total(Metric::CanonTime),
-                    0,
-                    "{slug} t{threads}: canonicalization was still timed"
-                );
-                assert_eq!(
-                    snap.counter_total(Metric::SymmetryHits),
-                    0,
-                    "{slug} t{threads}: fast path cannot move configurations"
-                );
-                // Pid-pinned slots ⇒ zero reduction was already the
-                // status quo; the fast path must preserve the counts.
-                assert_eq!(
-                    (stats.states, stats.edges),
-                    (baseline.states, baseline.edges),
-                    "{slug} t{threads}: fast path changed the graph"
-                );
-            }
-        }
     }
 
     #[test]

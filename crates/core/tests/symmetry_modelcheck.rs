@@ -1,11 +1,11 @@
 //! Verdict-equivalence regression for symmetry-reduced exploration.
 //!
 //! Symmetry reduction must be invisible to every model-check verdict: for
-//! each algorithm family the explorer is run with `--symmetry off`,
-//! `registers` and `full`, and every verdict the repo's experiments rely
-//! on — safety (mutual exclusion / agreement / validity / name
-//! uniqueness), fair-livelock detection and obstruction freedom — must be
-//! bit-identical across the three modes. Only the *state counts* may
+//! each algorithm family the explorer is run with symmetry `off` and
+//! `full`, and every verdict the repo's experiments rely on — safety
+//! (mutual exclusion / agreement / validity / name uniqueness),
+//! fair-livelock detection and obstruction freedom — must be
+//! bit-identical across the two modes. Only the *state counts* may
 //! shrink.
 //!
 //! Several workers must agree with one under symmetry too. Which
@@ -27,17 +27,10 @@ use anonreg::renaming::AnonRenaming;
 use anonreg::{Machine, Pid, PidMap, View};
 use anonreg_sim::obstruction::check_obstruction_freedom;
 use anonreg_sim::prelude::*;
-use anonreg_sim::symmetry::ring_views;
 
 fn pid(n: u64) -> Pid {
     Pid::new(n).unwrap()
 }
-
-const MODES: [SymmetryMode; 3] = [
-    SymmetryMode::Off,
-    SymmetryMode::Registers,
-    SymmetryMode::Full,
-];
 
 /// Everything a family's model check decides, as comparable data.
 #[derive(Debug, PartialEq, Eq)]
@@ -66,8 +59,8 @@ where
         .unwrap()
 }
 
-/// Runs one family through all three modes (sequentially and at 4
-/// threads) and asserts the verdicts never move.
+/// Runs one family through both modes (sequentially and at 4 threads)
+/// and asserts the verdicts never move.
 fn check_family<M>(
     family: &str,
     build: impl Fn() -> Simulation<M>,
@@ -78,7 +71,7 @@ fn check_family<M>(
 {
     let baseline_graph = explore(&build, SymmetryMode::Off, 1);
     let baseline = verdicts(&baseline_graph);
-    for mode in MODES {
+    for mode in SymmetryMode::ALL {
         let seq = explore(&build, mode, 1);
         assert!(
             seq.state_count() <= baseline_graph.state_count(),
@@ -331,93 +324,4 @@ fn full_mode_reduces_symmetric_mutex_at_least_2x() {
     let par = explore(&build, SymmetryMode::Full, 4);
     assert_eq!(par.state_count(), full.state_count());
     assert_eq!(par.edge_count(), full.edge_count());
-}
-
-/// `Registers` mode needs no identifier renaming to cut a workload whose
-/// register contents are identifier-free: the ring-view `Stamper`-style
-/// configuration from `crates/sim/tests/canon_orbit.rs` is covered there;
-/// here we pin that `registers` stays *sound* (never below the `full`
-/// count, never above the `off` count) on the ring mutex.
-#[test]
-fn registers_mode_is_bounded_by_off_and_full() {
-    let views = ring_views(2, 2).unwrap();
-    let build = || {
-        let mut b = Simulation::builder();
-        for (i, v) in views.iter().enumerate() {
-            b = b.process(
-                AnonMutex::new(Pid::new(i as u64 + 1).unwrap(), 2)
-                    .unwrap()
-                    .with_cycles(1),
-                v.clone(),
-            );
-        }
-        b.build().unwrap()
-    };
-    let off = explore(&build, SymmetryMode::Off, 1);
-    let regs = explore(&build, SymmetryMode::Registers, 1);
-    let full = explore(&build, SymmetryMode::Full, 1);
-    assert!(regs.state_count() <= off.state_count());
-    assert!(full.state_count() <= regs.state_count());
-    assert_eq!(
-        mutex_verdicts(&off, AnonMutex::section),
-        mutex_verdicts(&regs, AnonMutex::section)
-    );
-    assert_eq!(
-        mutex_verdicts(&off, AnonMutex::section),
-        mutex_verdicts(&full, AnonMutex::section)
-    );
-}
-
-/// The E16 sweeps measured *zero* `registers`-mode reduction on the ring
-/// mutex and symmetric consensus at full orbit-search cost: every slot
-/// carries a distinct identifier, which pins it, so canonicalization is
-/// injective on the reachable set. The encoder must detect this at build
-/// time and short-circuit to the plain identity path — state and edge
-/// counts stay exactly the `off` counts, the `canon_skipped` counter
-/// proves the fast path fired, and no canonicalization time is billed.
-#[test]
-fn registers_mode_skips_pid_pinned_orbits() {
-    use anonreg_obs::{MemProbe, Metric};
-
-    // The quick-scale E16 ring: procs == m, so the rotation group is
-    // *non-trivial* and only the pid-pinning argument can fire.
-    let views = ring_views(2, 2).unwrap();
-    let build = || {
-        let mut b = Simulation::builder();
-        for (i, v) in views.iter().enumerate() {
-            b = b.process(
-                AnonMutex::new(Pid::new(i as u64 + 1).unwrap(), 2)
-                    .unwrap()
-                    .with_cycles(1),
-                v.clone(),
-            );
-        }
-        b.build().unwrap()
-    };
-    let off = Explorer::new(build()).max_states(500_000).run().unwrap();
-
-    let probe = MemProbe::new();
-    let regs = Explorer::new(build())
-        .max_states(500_000)
-        .symmetry(SymmetryMode::Registers)
-        .probe(&probe)
-        .run()
-        .unwrap();
-    let snap = probe.into_snapshot();
-
-    // Pinned: the fast path must not change what `registers` stores.
-    assert_eq!(regs.state_count(), off.state_count());
-    assert_eq!(regs.edge_count(), off.edge_count());
-    // Every encode after the initial state's took the fast path: one
-    // per explored edge plus the initial encode.
-    let skipped = snap.counter_total(Metric::CanonSkipped);
-    assert_eq!(skipped, off.edge_count() as u64 + 1);
-    // ...and the canonical path never ran.
-    assert_eq!(snap.counter_total(Metric::SymmetryHits), 0);
-    assert_eq!(snap.counter_total(Metric::CanonTime), 0);
-    // The verdicts are the `off` verdicts by construction.
-    assert_eq!(
-        mutex_verdicts(&off, AnonMutex::section),
-        mutex_verdicts(&regs, AnonMutex::section)
-    );
 }

@@ -40,39 +40,39 @@ use crate::fingerprint::Fnv64;
 use crate::{Pid, View};
 
 /// How much symmetry an exploration is allowed to quotient away.
+///
+/// There is no register-only mode (view-compatible register and slot
+/// permutations without identifier renaming). Every machine in this
+/// repository keeps its own pid in its local state, so two distinct
+/// slots never reach identical local states and that group merges no
+/// two reachable configurations: it stores exactly what `Off` stores.
+/// One caveat: a machine whose local state omits its pid, but which
+/// writes pids into registers and compares them by order, would be
+/// sound under a register-only group and not under `Full`. No such
+/// machine exists here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SymmetryMode {
     /// No reduction: states are identified only when bit-identical.
     #[default]
     Off,
-    /// View-compatible register *and* slot permutations (§2 anonymity).
-    /// Sound for every machine — it is a pure relabeling of anonymous
-    /// registers and slot indices, assuming nothing about the algorithm —
-    /// but it only merges configurations in which distinct slots reached
-    /// identical local states.
-    Registers,
-    /// [`Registers`](SymmetryMode::Registers) plus canonical identifier
-    /// renaming. Sound for *symmetric* algorithms in the sense of the
-    /// Theorem 3.4 ring argument (identifiers compared only for equality);
-    /// for non-symmetric machines the embedded identifiers pin every
-    /// process to its slot and the mode degenerates to no extra merging.
+    /// View-compatible register *and* slot permutations (§2 anonymity)
+    /// plus canonical identifier renaming. Sound for *symmetric*
+    /// algorithms in the sense of the Theorem 3.4 ring argument
+    /// (identifiers compared only for equality); for non-symmetric
+    /// machines the embedded identifiers pin every process to its slot
+    /// and the mode degenerates to no extra merging.
     Full,
 }
 
 impl SymmetryMode {
     /// All modes, weakest first — handy for parity sweeps.
-    pub const ALL: [SymmetryMode; 3] = [
-        SymmetryMode::Off,
-        SymmetryMode::Registers,
-        SymmetryMode::Full,
-    ];
+    pub const ALL: [SymmetryMode; 2] = [SymmetryMode::Off, SymmetryMode::Full];
 }
 
 impl fmt::Display for SymmetryMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             SymmetryMode::Off => "off",
-            SymmetryMode::Registers => "registers",
             SymmetryMode::Full => "full",
         })
     }
@@ -84,7 +84,7 @@ pub struct ParseSymmetryError(String);
 
 impl fmt::Display for ParseSymmetryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown symmetry mode `{}` (off|registers|full)", self.0)
+        write!(f, "unknown symmetry mode `{}` (off|full)", self.0)
     }
 }
 
@@ -96,7 +96,6 @@ impl FromStr for SymmetryMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "off" => Ok(SymmetryMode::Off),
-            "registers" => Ok(SymmetryMode::Registers),
             "full" => Ok(SymmetryMode::Full),
             other => Err(ParseSymmetryError(other.to_string())),
         }
@@ -512,5 +511,6 @@ mod tests {
             assert_eq!(mode.to_string().parse::<SymmetryMode>().unwrap(), mode);
         }
         assert!("sideways".parse::<SymmetryMode>().is_err());
+        assert!("registers".parse::<SymmetryMode>().is_err());
     }
 }

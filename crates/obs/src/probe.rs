@@ -67,11 +67,6 @@ pub enum Metric {
     /// [`Metric::SymmetryHits`]. Only emitted when a symmetry mode is
     /// active.
     CanonTime,
-    /// States whose canonical encoding was short-circuited to the plain
-    /// identity path because the symmetry group was detected to be
-    /// trivial (no non-identity orbit exists, so canonicalization could
-    /// never move anything). Same keying as [`Metric::SymmetryHits`].
-    CanonSkipped,
     /// Missing happens-before edges flagged by the ordering sanitizer: a
     /// read consumed a foreign store with no synchronizes-with path.
     /// Keyed by physical register.
@@ -132,7 +127,6 @@ impl Metric {
             Metric::FaultRecovered => "fault_recovered",
             Metric::SymmetryHits => "symmetry_hits",
             Metric::CanonTime => "canon_time",
-            Metric::CanonSkipped => "canon_skipped",
             Metric::OrderingViolations => "ordering_violations",
             Metric::HbEdges => "hb_edges",
             Metric::StaleReads => "stale_reads",
@@ -645,7 +639,6 @@ mod tests {
         assert_eq!(Metric::FaultRecovered.name(), "fault_recovered");
         assert_eq!(Metric::SymmetryHits.name(), "symmetry_hits");
         assert_eq!(Metric::CanonTime.name(), "canon_time");
-        assert_eq!(Metric::CanonSkipped.name(), "canon_skipped");
         assert_eq!(Metric::OrderingViolations.name(), "ordering_violations");
         assert_eq!(Metric::HbEdges.name(), "hb_edges");
         assert_eq!(Metric::StaleReads.name(), "stale_reads");

@@ -2,10 +2,10 @@
 //!
 //! A configuration's *state code* is a flat byte encoding of its registers
 //! and process slots. With symmetry off it encodes the configuration as
-//! is; under [`SymmetryMode::Registers`]/[`SymmetryMode::Full`] it encodes
-//! the lexicographically least image of the configuration under the
-//! view-compatible permutation group (plus, for `Full`, canonical
-//! identifier renumbering) — the orbit's canonical representative. Two
+//! is; under [`SymmetryMode::Full`] it encodes the lexicographically least
+//! image of the configuration under the view-compatible permutation group
+//! composed with canonical identifier renumbering — the orbit's canonical
+//! representative. Two
 //! configurations get the same code exactly when some group element maps
 //! one to the other, so deduplicating explored states by code stores one
 //! representative per orbit.
@@ -18,7 +18,7 @@
 //!   [`anonreg_model::canon::view_symmetries`]). Such a pair is a pure
 //!   relabeling of anonymous registers and slot indices: it commutes with
 //!   every machine's transition function, no assumption needed.
-//! * `Full` additionally renumbers identifiers by first occurrence. That
+//! * `Full` also renumbers identifiers by first occurrence. That
 //!   commutes with transitions only for *symmetric* algorithms (Theorem
 //!   3.4: identifiers admit only equality comparisons). For non-symmetric
 //!   machines the embedded identifiers and literals pin each process to
@@ -57,7 +57,7 @@ pub(crate) const CANDIDATE_CAP: usize = 1024;
 /// The encoder entry point: appends a state code to the buffer and
 /// returns whether canonicalization *moved* the configuration off its
 /// literal encoding.
-type EncodeFn<M> = fn(&Simulation<M>, &[ViewSymmetry], SymmetryMode, &mut Vec<u8>) -> bool;
+type EncodeFn<M> = fn(&Simulation<M>, &[ViewSymmetry], &mut Vec<u8>) -> bool;
 
 /// A state-code encoder fixed at [`Explorer`](crate::explore::Explorer)
 /// build time.
@@ -70,7 +70,6 @@ pub(crate) struct StateEncoder<M: Machine> {
     mode: SymmetryMode,
     syms: Vec<ViewSymmetry>,
     encode: EncodeFn<M>,
-    skipped: bool,
 }
 
 impl<M: Machine + Eq + Hash> StateEncoder<M> {
@@ -81,7 +80,6 @@ impl<M: Machine + Eq + Hash> StateEncoder<M> {
             mode: SymmetryMode::Off,
             syms: Vec::new(),
             encode: plain_entry::<M>,
-            skipped: false,
         }
     }
 
@@ -90,21 +88,13 @@ impl<M: Machine + Eq + Hash> StateEncoder<M> {
         self.mode
     }
 
-    /// Whether canonical encoding was short-circuited to the identity
-    /// path because the admissible group is trivial (identity register
-    /// permutation, no exchangeable slots). Engines report this via the
-    /// `canon_skipped` counter so the fast path is observable.
-    pub(crate) fn skips_trivial_orbits(&self) -> bool {
-        self.skipped
-    }
-
     /// Appends `sim`'s state code to `out`, returning whether
     /// canonicalization *moved* the configuration (a non-identity image
     /// won). The plain path allocates nothing once `out` has grown to a
     /// code's size, so a caller that reuses `out` encodes without
     /// allocating.
     pub(crate) fn encode_into(&self, sim: &Simulation<M>, out: &mut Vec<u8>) -> bool {
-        (self.encode)(sim, &self.syms, self.mode, out)
+        (self.encode)(sim, &self.syms, out)
     }
 }
 
@@ -116,117 +106,21 @@ where
     /// An encoder for `mode` over the view assignment of `initial`
     /// (views never change within one exploration — crashes halt a slot
     /// in place — so the admissible permutation group is computed once).
-    ///
-    /// # The trivial-orbit fast path
-    ///
-    /// Under `Registers` the orbit search is short-circuited to the
-    /// plain identity encoding when it provably cannot merge two
-    /// distinct states *of this exploration*:
-    ///
-    /// * **Trivial group** — only the identity symmetry is admissible.
-    ///   With no renaming, the identity candidate's bytes equal the
-    ///   plain encoding, so state codes are unchanged by construction.
-    /// * **Pid-pinned slots** — the initial machines carry pairwise
-    ///   distinct identifiers that are visible in their encodings (see
-    ///   [`pids_pin_slots`]). A process's identifier is fixed for its
-    ///   lifetime, so every reachable state keeps pid `p_j` at slot
-    ///   `j`. Suppose two reachable states `X`, `Y` shared a canonical
-    ///   code: some admissible `(π₁, σ₁)` image of `X` equals some
-    ///   `(π₂, σ₂)` image of `Y` byte for byte. The encoding is
-    ///   prefix-free (varint integers are self-delimiting), so the slot
-    ///   written at target `t` matches:
-    ///   `X`'s slot `σ₁(t)` equals `Y`'s slot `σ₂(t)` — including the
-    ///   embedded pid, forcing `σ₁ = σ₂` (pids are distinct). A
-    ///   symmetry's register permutation is determined by where it
-    ///   sends slot 0 (`π = v_{σ(0)} ∘ v₀⁻¹`), so `π₁ = π₂` too, and
-    ///   the register sections then force `X = Y`. Canonicalization is
-    ///   therefore injective on the reachable set — zero reduction at
-    ///   full orbit-search cost, exactly what E16 measured on the ring
-    ///   mutex and symmetric consensus. Substituting the (also
-    ///   injective) plain encoding preserves state and edge counts.
-    ///
-    /// The fast path can only ever *skip* reduction, never introduce a
-    /// spurious merge — in the worst case (a machine whose encoding
-    /// hides its pid in later states, defeating the build-time probe)
-    /// the explorer falls back to the unreduced graph, which is always
-    /// a sound model. `Full` renames identifiers, which un-pins the
-    /// slots, so it always keeps the canonical path.
     pub(crate) fn for_mode(mode: SymmetryMode, initial: &Simulation<M>) -> Self {
         match mode {
             SymmetryMode::Off => Self::plain(),
-            SymmetryMode::Registers | SymmetryMode::Full => {
-                let syms = view_symmetries(initial.views());
-                if mode == SymmetryMode::Registers
-                    && (group_is_trivial(&syms) || pids_pin_slots(initial))
-                {
-                    return StateEncoder {
-                        mode,
-                        syms: Vec::new(),
-                        encode: plain_entry::<M>,
-                        skipped: true,
-                    };
-                }
-                StateEncoder {
-                    mode,
-                    syms,
-                    encode: canonical_code::<M>,
-                    skipped: false,
-                }
-            }
+            SymmetryMode::Full => StateEncoder {
+                mode,
+                syms: view_symmetries(initial.views()),
+                encode: canonical_code::<M>,
+            },
         }
     }
-}
-
-/// Whether the admissible group contains only the identity: a single
-/// symmetry whose register permutation is the identity and whose
-/// classes admit no slot exchange (every class has at most one source).
-fn group_is_trivial(syms: &[ViewSymmetry]) -> bool {
-    match syms {
-        [only] => {
-            only.perm.iter().enumerate().all(|(i, &p)| i == p)
-                && only.classes.iter().all(|c| c.sources.len() <= 1)
-        }
-        _ => false,
-    }
-}
-
-/// Whether the initial machines carry pairwise distinct identifiers
-/// *and* those identifiers are visible in the machines' encodings —
-/// checked by renaming every pid in a machine to a fresh one and
-/// requiring the encoding to change. A machine whose `Hash` ignores its
-/// pid (a genuinely anonymous local state, where two slots can become
-/// byte-identical and `Registers`-mode merging is real) fails the probe,
-/// keeping the canonical path. The probe inspects initial states only;
-/// identifiers are lifetime-constant per the [`Machine::pid`] contract,
-/// and a machine that *stops* encoding its pid mid-run would at worst
-/// re-enable a reduction this fast path skips — never unsoundness.
-fn pids_pin_slots<M>(sim: &Simulation<M>) -> bool
-where
-    M: Machine + Eq + Hash + PidMap,
-{
-    let n = sim.process_count();
-    let mut pids: Vec<u64> = (0..n).map(|j| sim.slot(j).machine.pid().get()).collect();
-    let fresh =
-        Pid::new(pids.iter().copied().max().unwrap_or(0) + 1).expect("max pid + 1 is nonzero");
-    pids.sort_unstable();
-    pids.dedup();
-    if pids.len() != n {
-        return false;
-    }
-    (0..n).all(|j| {
-        let machine = &sim.slot(j).machine;
-        let mut original = ByteSink::new();
-        machine.hash(&mut original);
-        let mut renamed = ByteSink::new();
-        machine.map_pids(&mut |_| fresh).hash(&mut renamed);
-        original.into_bytes() != renamed.into_bytes()
-    })
 }
 
 fn plain_entry<M: Machine + Eq + Hash>(
     sim: &Simulation<M>,
     _syms: &[ViewSymmetry],
-    _mode: SymmetryMode,
     out: &mut Vec<u8>,
 ) -> bool {
     encode_plain(sim, out);
@@ -243,8 +137,8 @@ where
     let mut code = Vec::new();
     match mode {
         SymmetryMode::Off => encode_plain(sim, &mut code),
-        SymmetryMode::Registers | SymmetryMode::Full => {
-            canonical_code(sim, &view_symmetries(sim.views()), mode, &mut code);
+        SymmetryMode::Full => {
+            canonical_code(sim, &view_symmetries(sim.views()), &mut code);
         }
     }
     code.into_boxed_slice()
@@ -275,22 +169,16 @@ fn encode_plain<M: Machine + Eq + Hash>(sim: &Simulation<M>, out: &mut Vec<u8>) 
 /// The canonical code: appends the minimum encoding over all admissible
 /// images to `out` and returns whether it differs from the identity
 /// image. The candidate search allocates per candidate.
-fn canonical_code<M>(
-    sim: &Simulation<M>,
-    syms: &[ViewSymmetry],
-    mode: SymmetryMode,
-    out: &mut Vec<u8>,
-) -> bool
+fn canonical_code<M>(sim: &Simulation<M>, syms: &[ViewSymmetry], out: &mut Vec<u8>) -> bool
 where
     M: Machine + Eq + Hash + PidMap,
     M::Value: PidMap,
 {
-    let rename = mode == SymmetryMode::Full;
     let n = sim.process_count();
     let m = sim.registers().len();
     let identity_src: Vec<usize> = (0..n).collect();
     let identity_inv: Vec<usize> = (0..m).collect();
-    let id_code = encode_candidate(sim, &identity_inv, &identity_src, rename);
+    let id_code = encode_candidate(sim, &identity_inv, &identity_src);
 
     // `best` must be the minimum over the *equivariant* candidate set
     // only. Seeding it with `id_code` would look harmless but breaks
@@ -308,7 +196,7 @@ where
         let orderings: Vec<Vec<Vec<usize>>> = sym
             .classes
             .iter()
-            .map(|class| class_orderings(sim, &class.sources, rename))
+            .map(|class| class_orderings(sim, &class.sources))
             .collect();
         // Walk the cartesian product of class orderings, capped.
         let mut picks = vec![0usize; orderings.len()];
@@ -319,7 +207,7 @@ where
                     src_of_target[target] = source;
                 }
             }
-            let code = encode_candidate(sim, &perm_inv, &src_of_target, rename);
+            let code = encode_candidate(sim, &perm_inv, &src_of_target);
             if best.as_ref().is_none_or(|b| code < *b) {
                 best = Some(code);
             }
@@ -349,7 +237,7 @@ where
 /// signatures: slots with distinct signatures are ordered by signature
 /// (they can never trade places in a minimal image), tied slots are
 /// permuted exhaustively up to [`CANDIDATE_CAP`].
-fn class_orderings<M>(sim: &Simulation<M>, sources: &[usize], rename: bool) -> Vec<Vec<usize>>
+fn class_orderings<M>(sim: &Simulation<M>, sources: &[usize]) -> Vec<Vec<usize>>
 where
     M: Machine + Eq + Hash + PidMap,
     M::Value: PidMap,
@@ -359,7 +247,7 @@ where
     }
     let mut tagged: Vec<(Vec<u8>, usize)> = sources
         .iter()
-        .map(|&j| (slot_signature(sim, j, rename), j))
+        .map(|&j| (slot_signature(sim, j), j))
         .collect();
     tagged.sort();
     // Tie groups of equal signature, in sorted order.
@@ -430,10 +318,10 @@ fn permutations_capped(items: &[usize], cap: usize) -> Vec<Vec<usize>> {
 }
 
 /// The invariant signature of slot `j`: its local state with identifiers
-/// blinded (under `Full`) plus the register contents its view orders —
+/// blinded plus the register contents its view orders —
 /// invariant under every group element, so sorting by it never separates
 /// two slots a symmetry could exchange.
-fn slot_signature<M>(sim: &Simulation<M>, j: usize, rename: bool) -> Vec<u8>
+fn slot_signature<M>(sim: &Simulation<M>, j: usize) -> Vec<u8>
 where
     M: Machine + Eq + Hash + PidMap,
     M::Value: PidMap,
@@ -441,46 +329,32 @@ where
     let blind = &mut |_: Pid| Pid::new(1).expect("1 is a valid pid");
     let slot = sim.slot(j);
     let mut sink = ByteSink::new();
-    if rename {
-        slot.machine.map_pids(blind).hash(&mut sink);
-        slot.pending_input.map_pids(blind).hash(&mut sink);
-        match &slot.poised {
-            None => sink.write_u8(0),
-            Some((local, value)) => {
-                sink.write_u8(1);
-                sink.write_usize(*local);
-                value.map_pids(blind).hash(&mut sink);
-            }
+    slot.machine.map_pids(blind).hash(&mut sink);
+    slot.pending_input.map_pids(blind).hash(&mut sink);
+    match &slot.poised {
+        None => sink.write_u8(0),
+        Some((local, value)) => {
+            sink.write_u8(1);
+            sink.write_usize(*local);
+            value.map_pids(blind).hash(&mut sink);
         }
-    } else {
-        slot.machine.hash(&mut sink);
-        slot.pending_input.hash(&mut sink);
-        slot.poised.hash(&mut sink);
     }
     slot.halted.hash(&mut sink);
     let view = sim.view(j);
     for local in 0..view.len() {
-        let value = &sim.registers()[view.physical(local)];
-        if rename {
-            value.map_pids(blind).hash(&mut sink);
-        } else {
-            value.hash(&mut sink);
-        }
+        sim.registers()[view.physical(local)]
+            .map_pids(blind)
+            .hash(&mut sink);
     }
     sink.into_bytes()
 }
 
 /// Encodes the image of `sim` under register permutation `perm` (given as
 /// its inverse) and slot re-assignment `src_of_target`, renumbering
-/// identifiers by first occurrence when `rename` is set. The scan order
+/// identifiers by first occurrence. The scan order
 /// (registers in new physical order, then slots in target order) fixes the
 /// renumbering deterministically.
-fn encode_candidate<M>(
-    sim: &Simulation<M>,
-    perm_inv: &[usize],
-    src_of_target: &[usize],
-    rename: bool,
-) -> Vec<u8>
+fn encode_candidate<M>(sim: &Simulation<M>, perm_inv: &[usize], src_of_target: &[usize]) -> Vec<u8>
 where
     M: Machine + Eq + Hash + PidMap,
     M::Value: PidMap,
@@ -490,31 +364,20 @@ where
     let mut sink = ByteSink::new();
     sink.write_usize(perm_inv.len());
     for &old in perm_inv {
-        let value = &sim.registers()[old];
-        if rename {
-            value.map_pids(rename_pid).hash(&mut sink);
-        } else {
-            value.hash(&mut sink);
-        }
+        sim.registers()[old].map_pids(rename_pid).hash(&mut sink);
     }
     sink.write_usize(src_of_target.len());
     for &source in src_of_target {
         let slot = sim.slot(source);
-        if rename {
-            slot.machine.map_pids(rename_pid).hash(&mut sink);
-            slot.pending_input.map_pids(rename_pid).hash(&mut sink);
-            match &slot.poised {
-                None => sink.write_u8(0),
-                Some((local, value)) => {
-                    sink.write_u8(1);
-                    sink.write_usize(*local);
-                    value.map_pids(rename_pid).hash(&mut sink);
-                }
+        slot.machine.map_pids(rename_pid).hash(&mut sink);
+        slot.pending_input.map_pids(rename_pid).hash(&mut sink);
+        match &slot.poised {
+            None => sink.write_u8(0),
+            Some((local, value)) => {
+                sink.write_u8(1);
+                sink.write_usize(*local);
+                value.map_pids(rename_pid).hash(&mut sink);
             }
-        } else {
-            slot.machine.hash(&mut sink);
-            slot.pending_input.hash(&mut sink);
-            slot.poised.hash(&mut sink);
         }
         slot.halted.hash(&mut sink);
     }

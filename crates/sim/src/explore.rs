@@ -122,13 +122,12 @@ pub enum ExploreError {
     /// no ample set smaller than the full successor set is sound there;
     /// the combination is rejected rather than silently unsound.
     PorWithCrashes,
-    /// Partial-order reduction was requested together with
-    /// [`SymmetryMode::Full`]. Full-mode canonicalization renumbers
+    /// Partial-order reduction was requested together with symmetry
+    /// reduction ([`SymmetryMode::Full`]). Canonicalization renumbers
     /// identifiers, which un-pins process slots: an orbit
     /// representative's ample set need not match its siblings', so the
     /// reduction could prune interleavings the symmetry quotient still
-    /// needs. [`SymmetryMode::Registers`] keeps slots pinned and
-    /// composes soundly (see [`Explorer::por`]).
+    /// needs. The two reductions do not compose (see [`Explorer::por`]).
     PorWithFullSymmetry,
 }
 
@@ -155,10 +154,9 @@ impl fmt::Display for ExploreError {
                 write!(
                     f,
                     "partial-order reduction cannot be combined with \
-                     SymmetryMode::Full (identifier renumbering un-pins process \
+                     symmetry reduction (identifier renumbering un-pins process \
                      slots, so an orbit representative's ample set need not \
-                     match its siblings'); SymmetryMode::Registers composes \
-                     soundly"
+                     match its siblings'); run one reduction or the other"
                 )
             }
         }
@@ -324,16 +322,10 @@ where
     /// [`Explorer::run`] rejects `por` + `crashes` with
     /// [`ExploreError::PorWithCrashes`].
     ///
-    /// Composition with [`Explorer::symmetry`]:
-    /// [`SymmetryMode::Registers`] is allowed — register renaming never
-    /// touches process slots, so the ample set (a set of process
-    /// *indices* poised at local steps) is identical across every member
-    /// of an orbit, and the reduced quotient graph is the quotient of
-    /// the reduced graph. In practice the view-compatible register group
-    /// is trivial for the pinned-view families, so the trivial-orbit
-    /// fast path makes the composition exact as well as sound.
-    /// [`SymmetryMode::Full`] renumbers identifiers and can merge states
-    /// whose ample sets differ; that combination is rejected with
+    /// Symmetry reduction and POR do not compose:
+    /// [`Explorer::symmetry`] with [`SymmetryMode::Full`] renumbers
+    /// identifiers and can merge states whose ample sets differ, so
+    /// `por` together with `Full` is rejected with
     /// [`ExploreError::PorWithFullSymmetry`].
     ///
     /// The reduced graph has fewer states and edges; safety, fair-
@@ -418,11 +410,11 @@ where
     /// are unaffected, while predicates naming a specific process index
     /// are answered up to symmetry.
     ///
-    /// [`SymmetryMode::Registers`] is sound for every machine;
-    /// [`SymmetryMode::Full`] additionally assumes the algorithm is
-    /// *symmetric* in the Theorem 3.4 sense (identifiers admit only
-    /// equality comparisons) — true for all the paper's anonymous
-    /// algorithms.
+    /// [`SymmetryMode::Full`] assumes the algorithm is *symmetric* in
+    /// the Theorem 3.4 sense (identifiers admit only equality
+    /// comparisons) — true for all the paper's anonymous algorithms.
+    /// Symmetry reduction does not compose with [`Explorer::por`]; the
+    /// run rejects the pair with [`ExploreError::PorWithFullSymmetry`].
     pub fn symmetry(mut self, mode: SymmetryMode) -> Self
     where
         M: PidMap,
@@ -1601,9 +1593,13 @@ mod tests {
         // Full mode, which `symmetry()` gates on PidMap. The family-level
         // rejection test lives in por_modelcheck.rs; this one pins the
         // error's Display text.
-        let err = ExploreError::PorWithFullSymmetry;
-        assert!(err.to_string().contains("SymmetryMode::Full"));
-        assert!(err.to_string().contains("Registers"));
+        assert_eq!(
+            ExploreError::PorWithFullSymmetry.to_string(),
+            "partial-order reduction cannot be combined with symmetry \
+             reduction (identifier renumbering un-pins process slots, so an \
+             orbit representative's ample set need not match its siblings'); \
+             run one reduction or the other"
+        );
     }
 
     /// Folds a graph's numbering — every state's configuration, discovery

@@ -355,31 +355,22 @@ impl<M: Machine> GraphSink<M> {
 
 /// Encodes states for the dedup table, appending each code to a buffer
 /// the caller owns and reuses, and tallies the symmetry work for the
-/// probe. Canonical searches are timed; when the encoder detected a
-/// trivial symmetry group it already short-circuits to the plain identity
-/// path, so timing it as canonicalization would charge symmetry
-/// reduction for work it no longer does — those encodes are counted as
-/// skipped instead.
+/// probe. Canonical searches are timed; plain encodes are not.
 struct Encoding<'e, M: Machine> {
     encoder: &'e StateEncoder<M>,
     time_canon: bool,
-    count_skipped: bool,
     /// Encodes that moved the state to another orbit member.
     hits: u64,
     canon_nanos: u64,
-    skipped: u64,
 }
 
 impl<'e, M: Machine + Eq + Hash> Encoding<'e, M> {
     fn new<P: Probe>(encoder: &'e StateEncoder<M>) -> Self {
-        let skips = encoder.skips_trivial_orbits();
         Encoding {
             encoder,
-            time_canon: P::ENABLED && encoder.mode() != SymmetryMode::Off && !skips,
-            count_skipped: P::ENABLED && skips,
+            time_canon: P::ENABLED && encoder.mode() != SymmetryMode::Off,
             hits: 0,
             canon_nanos: 0,
-            skipped: 0,
         }
     }
 
@@ -391,7 +382,6 @@ impl<'e, M: Machine + Eq + Hash> Encoding<'e, M> {
             self.canon_nanos += start.elapsed().as_nanos() as u64;
             self.hits += u64::from(moved);
         } else {
-            self.skipped += u64::from(self.count_skipped);
             self.encoder.encode_into(sim, out);
         }
     }
@@ -404,9 +394,6 @@ impl<'e, M: Machine + Eq + Hash> Encoding<'e, M> {
         }
         if self.canon_nanos > 0 {
             probe.counter(Metric::CanonTime, key, self.canon_nanos);
-        }
-        if self.skipped > 0 {
-            probe.counter(Metric::CanonSkipped, key, self.skipped);
         }
     }
 }

@@ -683,6 +683,10 @@ fn explore_main(raw: &[String]) -> ExitCode {
             _ => return usage(),
         }
     }
+    if scale && symmetry {
+        eprintln!("--scale and --symmetry are separate runs; pick one");
+        return usage();
+    }
     if scale {
         return explore_scale_main(
             quick,
@@ -1731,12 +1735,14 @@ fn main() -> ExitCode {
                     );
                     // Replay every terminal state and spec-check names.
                     let mut violations = 0;
-                    let mut terminals = 0;
-                    for (id, state) in graph.states() {
-                        if !state.all_halted() {
-                            continue;
+                    let mut terminal_ids = Vec::new();
+                    graph.for_each_state(|id, state| {
+                        if state.all_halted() {
+                            terminal_ids.push(id);
                         }
-                        terminals += 1;
+                    });
+                    let terminals = terminal_ids.len();
+                    for id in terminal_ids {
                         let mut replay_builder = Simulation::builder();
                         for i in 0..args.n {
                             replay_builder = replay_builder.process(

@@ -4,8 +4,9 @@
 //! `BENCH_explore.json` says *that* the mutex `m = 3, ℓ = 3` sweep costs
 //! 121 s — this experiment says *where* the time goes. Each E16 workload
 //! is explored with a [`Profiler`] attached: every engine worker drives
-//! a phase timer (`step`/`canon`/`dedup`/`steal`/`idle`) and flushes its
-//! per-phase self-time tree at exit. The same machinery profiles the
+//! a phase timer (`pop`/`steal`/`step`/`canon`/`dedup`/`record`/`idle`)
+//! and flushes its per-phase self-time tree at exit; worker 0's timer
+//! also charges the calling thread's `setup` and `teardown`. The same machinery profiles the
 //! runtime [`Driver`] on real threads (`doorway`/`waiting`/`critical`,
 //! with backoff windows nested as `…;waiting`), mapping the paper's §2
 //! operations onto measured wall-clock.
@@ -16,9 +17,10 @@
 //! must account for most of the run. [`metrics`] exports it as
 //! `<slug>_coverage` for every explorer run of at least
 //! [`COVERAGE_MIN_WALL`], and CI floors it with `check bench-diff
-//! --require coverage=0.7`. It cannot reach 1.0 exactly: the wall also
-//! covers setup, final graph assembly and the table's teardown, which
-//! are not worker self-time. The collapsed-stack export
+//! --require coverage=0.7`. It cannot reach 1.0 exactly with several
+//! workers: setup, graph assembly and the table's teardown are charged
+//! to worker 0 alone, while the other workers have not started or have
+//! already exited. The collapsed-stack export
 //! ([`ProfiledRun::collapsed`]) is the `inferno`/speedscope flamegraph
 //! format, one `run;worker;phase ns` line per frame.
 //!

@@ -127,10 +127,13 @@ fn splitter_n2_names_are_distinct_under_all_interleavings() {
             .unwrap()
     };
     let graph = Explorer::new(build()).run().unwrap();
-    for (id, state) in graph.states() {
-        if !state.all_halted() {
-            continue;
+    let mut terminals = Vec::new();
+    graph.for_each_state(|id, state| {
+        if state.all_halted() {
+            terminals.push(id);
         }
+    });
+    for id in terminals {
         let schedule = graph.schedule_to(id);
         let mut sim = build();
         for &p in &schedule {
@@ -160,10 +163,13 @@ fn lock_consensus_n2_agrees_under_all_interleavings() {
             .unwrap()
     };
     let graph = Explorer::new(build()).run().unwrap();
-    for (id, state) in graph.states() {
-        if !state.all_halted() {
-            continue;
+    let mut terminals = Vec::new();
+    graph.for_each_state(|id, state| {
+        if state.all_halted() {
+            terminals.push(id);
         }
+    });
+    for id in terminals {
         let schedule = graph.schedule_to(id);
         let mut sim = build();
         for &p in &schedule {

@@ -62,8 +62,9 @@ where
 {
     let graph = Explorer::new(build()).run().unwrap();
     let other = Explorer::new(alt()).run().unwrap();
-    let states: Vec<&Simulation<M>> = graph.states().map(|(_, s)| s).collect();
-    let others: Vec<&Simulation<M>> = other.states().map(|(_, s)| s).collect();
+    let (mut states, mut others) = (Vec::new(), Vec::new());
+    graph.for_each_state(|_, s| states.push(s.clone()));
+    other.for_each_state(|_, s| others.push(s.clone()));
     assert!(
         (0..states[0].process_count()).any(|p| states[0].view(p) != others[0].view(p)),
         "{family}: the second run must use other views"
@@ -73,13 +74,13 @@ where
     for pair in 0..PAIRS {
         let (i, j) = (pair * 7 % n, (pair * 31 + 11) % n);
         let mut dst = states[i].clone();
-        dst.clone_from(states[j]);
-        assert_refilled(family, pair, &dst, states[j]);
+        dst.clone_from(&states[j]);
+        assert_refilled(family, pair, &dst, &states[j]);
 
         let src = if pair % 4 == 3 {
-            others[pair % others.len()]
+            &others[pair % others.len()]
         } else {
-            states[j]
+            &states[j]
         };
         kept.clone_from(src);
         assert_refilled(family, pair, &kept, src);

@@ -131,12 +131,14 @@ fn renaming_n2_uniqueness_holds_under_exhaustive_crashes() {
         .crashes(true)
         .run()
         .unwrap();
-    let mut checked = 0;
-    for (id, state) in graph.states() {
-        if !state.all_halted() {
-            continue;
+    let mut terminals = Vec::new();
+    graph.for_each_state(|id, state| {
+        if state.all_halted() {
+            terminals.push(id);
         }
-        checked += 1;
+    });
+    let checked = terminals.len();
+    for id in terminals {
         let mut sim = build();
         for action in graph.actions_to(id) {
             match action {
@@ -172,7 +174,7 @@ fn every_crash_graph_state_replays_from_its_actions() {
             .run()
             .unwrap();
         let mut crashed = 0;
-        for (id, state) in graph.states() {
+        graph.for_each_state(|id, state| {
             let mut sim = build();
             for action in graph.actions_to(id) {
                 match action {
@@ -189,7 +191,7 @@ fn every_crash_graph_state_replays_from_its_actions() {
                 sim.same_configuration(state),
                 "{threads} workers: state {id} does not replay"
             );
-        }
+        });
         assert!(crashed > 0, "{threads} workers: no path replayed a crash");
     }
 }
@@ -280,10 +282,8 @@ where
         .crashes(true)
         .run()
         .unwrap();
-    let code_bytes: usize = graph
-        .states()
-        .map(|(_, s)| s.canonical_code(SymmetryMode::Off).len())
-        .sum();
+    let mut code_bytes = 0;
+    graph.for_each_state(|_, s| code_bytes += s.canonical_code(SymmetryMode::Off).len());
     for threads in [1, 2] {
         let stats = Explorer::new(build())
             .max_states(2_000_000)

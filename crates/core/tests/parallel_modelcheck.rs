@@ -34,6 +34,21 @@ fn pid(n: u64) -> Pid {
     Pid::new(n).unwrap()
 }
 
+/// The graph's states, indexed by id.
+fn states_by_id<M: Machine>(graph: &StateGraph<M>) -> Vec<Simulation<M>> {
+    let mut states = vec![None; graph.state_count()];
+    graph.for_each_state(|id, state| states[id] = Some(state.clone()));
+    states
+        .into_iter()
+        .map(|s| s.expect("every state is visited"))
+        .collect()
+}
+
+/// An edge's event as the reference renders a step's trace events.
+fn events<E: Debug>(edge: &Edge<E>) -> String {
+    format!("{:?}", edge.events.iter().collect::<Vec<_>>())
+}
+
 /// Asserts `a` and `b` are the same graph up to state renumbering.
 fn assert_isomorphic<M>(family: &str, threads: usize, a: &StateGraph<M>, b: &StateGraph<M>)
 where
@@ -53,20 +68,21 @@ where
 
     // Match each of a's states to a distinct configuration-equal state
     // of b (fingerprints narrow the candidates; equality decides).
+    let (a_states, b_states) = (states_by_id(a), states_by_id(b));
     let mut by_fp: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (id, state) in b.states() {
+    for (id, state) in b_states.iter().enumerate() {
         by_fp.entry(state.fingerprint()).or_default().push(id);
     }
     let mut a_to_b = vec![usize::MAX; a.state_count()];
     let mut used = vec![false; b.state_count()];
-    for (id, state) in a.states() {
+    for (id, state) in a_states.iter().enumerate() {
         let candidates = by_fp
             .get(&state.fingerprint())
             .map_or(&[][..], Vec::as_slice);
         let matched = candidates
             .iter()
             .copied()
-            .find(|&bid| !used[bid] && state.same_configuration(b.state(bid)));
+            .find(|&bid| !used[bid] && state.same_configuration(&b_states[bid]));
         let Some(bid) = matched else {
             panic!("{family} at {threads} threads: state {id} has no counterpart");
         };
@@ -79,9 +95,9 @@ where
     );
 
     // Per-state edge multisets must agree under the bijection.
-    for (id, _) in a.states() {
+    for id in 0..a.state_count() {
         let to_key = |map: &dyn Fn(usize) -> usize, e: &Edge<M::Event>| {
-            (e.proc, map(e.target), e.crash, format!("{:?}", e.events))
+            (e.proc, map(e.target), e.crash, events(e))
         };
         let mut ea: Vec<_> = a
             .edges(id)
@@ -178,8 +194,9 @@ fn assert_matches_reference<M>(
     for (id, state) in reference.states.iter().enumerate() {
         by_fp.entry(state.fingerprint()).or_default().push(id);
     }
-    let to_ref: Vec<usize> = graph
-        .states()
+    let to_ref: Vec<usize> = states_by_id(graph)
+        .iter()
+        .enumerate()
         .map(|(id, state)| {
             by_fp
                 .get(&state.fingerprint())
@@ -196,7 +213,7 @@ fn assert_matches_reference<M>(
         let mut got: Vec<_> = graph
             .edges(id)
             .iter()
-            .map(|e| (e.proc, to_ref[e.target], e.crash, format!("{:?}", e.events)))
+            .map(|e| (e.proc, to_ref[e.target], e.crash, events(e)))
             .collect();
         let mut want = reference.edges[r].clone();
         got.sort();

@@ -36,6 +36,16 @@ fn pid(n: u64) -> Pid {
     Pid::new(n).unwrap()
 }
 
+/// The graph's states, indexed by id.
+fn states_by_id<M: Machine>(graph: &StateGraph<M>) -> Vec<Simulation<M>> {
+    let mut states = vec![None; graph.state_count()];
+    graph.for_each_state(|id, state| states[id] = Some(state.clone()));
+    states
+        .into_iter()
+        .map(|s| s.expect("every state is visited"))
+        .collect()
+}
+
 /// Asserts `a` and `b` are the same graph up to state renumbering.
 fn assert_isomorphic<M>(family: &str, threads: usize, a: &StateGraph<M>, b: &StateGraph<M>)
 where
@@ -52,27 +62,28 @@ where
         b.edge_count(),
         "{family} at {threads} threads: edge counts differ"
     );
+    let (a_states, b_states) = (states_by_id(a), states_by_id(b));
     let mut by_fp: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (id, state) in b.states() {
+    for (id, state) in b_states.iter().enumerate() {
         by_fp.entry(state.fingerprint()).or_default().push(id);
     }
     let mut a_to_b = vec![usize::MAX; a.state_count()];
     let mut used = vec![false; b.state_count()];
-    for (id, state) in a.states() {
+    for (id, state) in a_states.iter().enumerate() {
         let candidates = by_fp
             .get(&state.fingerprint())
             .map_or(&[][..], Vec::as_slice);
         let matched = candidates
             .iter()
             .copied()
-            .find(|&bid| !used[bid] && state.same_configuration(b.state(bid)));
+            .find(|&bid| !used[bid] && state.same_configuration(&b_states[bid]));
         let Some(bid) = matched else {
             panic!("{family} at {threads} threads: state {id} has no counterpart");
         };
         used[bid] = true;
         a_to_b[id] = bid;
     }
-    for (id, _) in a.states() {
+    for id in 0..a.state_count() {
         let to_key = |map: &dyn Fn(usize) -> usize, e: &Edge<M::Event>| {
             (e.proc, map(e.target), e.crash, format!("{:?}", e.events))
         };

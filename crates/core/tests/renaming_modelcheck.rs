@@ -35,9 +35,9 @@ fn n2_names_are_unique_and_in_range_under_all_interleavings() {
         let build = || two_proc_sim(2, View::rotated(3, shift));
         let graph = Explorer::new(build()).run().unwrap();
         // Terminal states: both halted.
-        for (id, state) in graph.states() {
+        graph.for_each_state(|id, state| {
             if !state.all_halted() {
-                continue;
+                return;
             }
             let schedule = graph.schedule_to(id);
             let mut sim = build();
@@ -48,7 +48,7 @@ fn n2_names_are_unique_and_in_range_under_all_interleavings() {
             let stats = anonreg::spec::check_renaming(&trace, 2)
                 .unwrap_or_else(|v| panic!("shift {shift}: {v}\n{trace}"));
             assert_eq!(stats.names.len(), 2);
-        }
+        });
     }
 }
 
@@ -101,9 +101,9 @@ fn adaptivity_k2_of_n3_names_within_two() {
     };
     let graph = Explorer::new(build()).max_states(3_000_000).run().unwrap();
     let mut terminals = 0;
-    for (id, state) in graph.states() {
+    graph.for_each_state(|id, state| {
         if !state.all_halted() {
-            continue;
+            return;
         }
         terminals += 1;
         let schedule = graph.schedule_to(id);
@@ -115,6 +115,6 @@ fn adaptivity_k2_of_n3_names_within_two() {
         let stats =
             anonreg::spec::check_renaming(&trace, 2).unwrap_or_else(|v| panic!("{v}\n{trace}"));
         assert_eq!(stats.names.len(), 2);
-    }
+    });
     assert!(terminals > 0);
 }

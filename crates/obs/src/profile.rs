@@ -17,8 +17,9 @@
 //!   speedscope both ingest directly.
 //!
 //! The phase vocabulary is a closed enum, mirroring [`crate::Metric`]:
-//! the engines charge `step`/`canon`/`dedup`/`steal`/`idle`, the
-//! runtime driver charges `doorway`/`waiting`/`critical`.
+//! the engines charge `setup`, `pop`/`steal`/`step`/`canon`/`dedup`
+//! (`spill`)/`record`/`idle` and `teardown`, the runtime driver charges
+//! `doorway`/`waiting`/`critical`.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -39,8 +40,8 @@ pub enum Phase {
     Canon,
     /// Dedup lookup/insert against the intern table or shards.
     Dedup,
-    /// Taking the next work item: from the worker's own frontier, or
-    /// stolen from another worker's (explorer workers).
+    /// Stealing the next work item from another worker's frontier, once
+    /// the worker's own is empty (explorer workers).
     Steal,
     /// Spinning/yielding with nothing to do (explorer workers).
     Idle,
@@ -57,14 +58,23 @@ pub enum Phase {
     /// [`Phase::Dedup`] when spilling is on, so profiles separate table
     /// time from IO.
     Spill,
-    /// Graph assembly: an explorer worker handing an expanded state and
-    /// its edges to the state graph (graph mode only).
+    /// Graph assembly: an explorer worker closing an expanded state's
+    /// record in its own graph shard (graph mode only).
     Record,
+    /// Taking the next work item from the worker's own frontier
+    /// (explorer workers).
+    Pop,
+    /// An exploration's setup on the calling thread: the dedup table, the
+    /// writer split, the initial state and the worker threads' spawn.
+    Setup,
+    /// An exploration's teardown on the calling thread: waiting for the
+    /// workers, placing the graph shards by id and dropping the table.
+    Teardown,
 }
 
 /// All phases, in wire order. `Phase::from_code` relies on this; new
 /// phases append so existing packed codes stay stable.
-const PHASES: [Phase; 10] = [
+const PHASES: [Phase; 13] = [
     Phase::Step,
     Phase::Canon,
     Phase::Dedup,
@@ -75,6 +85,9 @@ const PHASES: [Phase; 10] = [
     Phase::Critical,
     Phase::Spill,
     Phase::Record,
+    Phase::Pop,
+    Phase::Setup,
+    Phase::Teardown,
 ];
 
 impl Phase {
@@ -92,6 +105,9 @@ impl Phase {
             Phase::Critical => "critical",
             Phase::Spill => "spill",
             Phase::Record => "record",
+            Phase::Pop => "pop",
+            Phase::Setup => "setup",
+            Phase::Teardown => "teardown",
         }
     }
 
@@ -367,10 +383,18 @@ mod tests {
         assert_eq!(Phase::Critical.name(), "critical");
         assert_eq!(Phase::Spill.name(), "spill");
         assert_eq!(Phase::Record.name(), "record");
+        assert_eq!(Phase::Pop.name(), "pop");
+        assert_eq!(Phase::Setup.name(), "setup");
+        assert_eq!(Phase::Teardown.name(), "teardown");
         // Wire codes are append-only: the newest phase takes the next one.
         assert_eq!(Phase::Spill.code(), 9);
         assert_eq!(Phase::Record.code(), 10);
         assert_eq!(Phase::from_code(10), Some(Phase::Record));
+        assert_eq!(Phase::Pop.code(), 11);
+        assert_eq!(Phase::Setup.code(), 12);
+        assert_eq!(Phase::Teardown.code(), 13);
+        assert_eq!(Phase::from_code(13), Some(Phase::Teardown));
+        assert_eq!(Phase::from_code(14), None);
     }
 
     #[test]

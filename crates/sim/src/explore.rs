@@ -167,14 +167,19 @@ impl std::error::Error for ExploreError {}
 
 /// One outgoing transition of a state: process `proc` takes one atomic step,
 /// emitting `events` on the way, and the system moves to state `target`.
+///
+/// A step emits at most one event, so `events` is an `Option`; most
+/// transitions (reads, writes, crashes) carry none. An edge owns no heap
+/// block: `Edge<MutexEvent>` is 24 bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Edge<E> {
     /// The process that moves.
     pub proc: usize,
     /// The id of the successor state.
     pub target: usize,
-    /// Events emitted during the step (usually empty or a single event).
-    pub events: Vec<E>,
+    /// The event emitted during the step, if any. `for event in
+    /// &edge.events` visits it.
+    pub events: Option<E>,
     /// `true` if this transition is the process *crashing* rather than
     /// taking a step (only with [`ExploreConfig::crashes`]).
     pub crash: bool,
@@ -191,28 +196,36 @@ pub enum ScheduleAction {
 
 /// The complete reachable state graph of a simulation.
 ///
-/// State `0` is the initial configuration. Each state is a [`Simulation`]
-/// with an empty trace, so analyses can inspect machines and registers
-/// directly; every state shares the initial state's view table, so a
-/// stored state owns only its registers and process slots. The edges of
-/// all states sit in one arena, each state owning a contiguous span of it,
-/// and each state's discovering transition is one compact record — the
-/// graph is a handful of large allocations plus the states.
+/// State `0` is the initial configuration. The graph stores no state but
+/// that one: machines are deterministic, so each state is fixed by the
+/// transition that discovered it, and the discovery tree (one compact
+/// parent record per state) regenerates any state from the initial
+/// one. [`for_each_state`](StateGraph::for_each_state) regenerates every
+/// state in one depth-first pass over that tree, and
+/// [`state`](StateGraph::state) replays one state's discovery path.
+/// Regenerated states are [`Simulation`]s with an empty trace, so
+/// analyses inspect machines and registers directly. The edges of all
+/// states sit in one arena, each state owning a contiguous span of it —
+/// the graph is four allocations: the initial state, the parent records,
+/// the spans and the edges.
 pub struct StateGraph<M: Machine> {
-    states: Vec<Simulation<M>>,
+    /// State `0`, with an empty trace; every other state is regenerated
+    /// from it.
+    initial: Simulation<M>,
     /// Every edge, grouped by source state.
     edges: Vec<Edge<M::Event>>,
     /// `edges[spans[id]]` are the outgoing edges of state `id`.
     spans: Vec<Range<usize>>,
-    /// `parents[id]` is the transition that discovered state `id`, used to
-    /// reconstruct adversary schedules. The initial state has none; its
-    /// record is never read.
+    /// `parents[id]` is the transition that discovered state `id`: the
+    /// discovery tree that regenerates states and reconstructs adversary
+    /// schedules. The initial state has none; its record is never read.
     parents: Vec<Parent>,
 }
 
 /// The transition that discovered a state: `proc` stepped (or, with
 /// `crash`, crashed) in state `state`. State ids fit in `u32` because the
-/// dedup table caps a run at 2²⁷ states.
+/// dedup table caps a run at 2²⁷ states. A state is interned after its
+/// parent, so `state` is always smaller than the discovered state's id.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct Parent {
     pub(crate) state: u32,
@@ -386,12 +399,17 @@ where
     /// Attaches a wall-clock [`Profiler`].
     ///
     /// Each engine worker then keeps an [`anonreg_obs::Phase`] timer —
-    /// `step` (successor refill + machine step), `canon`
-    /// (canonical/plain encoding), `dedup` (intern-table probe; `spill`
-    /// when spilling), `steal` (taking the next work item) and `idle` —
-    /// and records its per-phase self-times into the profiler when the
-    /// exploration ends, including on the state-limit error path. Runs
-    /// without a profiler pay nothing.
+    /// `pop` (taking the next work item from its own frontier), `steal`
+    /// (taking one from another worker's), `step` (successor refill +
+    /// machine step), `canon` (canonical/plain encoding), `dedup`
+    /// (intern-table probe; `spill` when spilling), `record` (closing a
+    /// state's graph record, graph mode only) and `idle` — and records
+    /// its per-phase self-times into the profiler when the exploration
+    /// ends, including on the state-limit error path. Worker 0's timer
+    /// also charges the calling thread's `setup` (dedup table, writers,
+    /// thread spawn) and `teardown` (waiting for the other workers, graph
+    /// assembly, dropping the table), so the phases cover the whole call.
+    /// Runs without a profiler pay nothing.
     pub fn profiler(mut self, profiler: Arc<Profiler>) -> Self {
         self.profiler = Some(profiler);
         self
@@ -427,6 +445,12 @@ where
     /// Runs the exploration and returns the complete reachable
     /// [`StateGraph`].
     ///
+    /// This is [`run_stats`](Explorer::run_stats) plus a record of each
+    /// expanded state's discovering transition and outgoing edges: the
+    /// run keeps no state but the initial one, so its memory is stats
+    /// mode's plus a 12-byte parent record and a 16-byte edge span per
+    /// state and one [`Edge`] per transition.
+    ///
     /// # Errors
     ///
     /// Returns [`ExploreError::StateLimitExceeded`] if the reachable
@@ -451,9 +475,9 @@ where
     /// maximum depth, dedup hits — without materialising a
     /// [`StateGraph`].
     ///
-    /// Expanded configurations are dropped as soon as their successors
-    /// are interned, so memory scales with the frontier plus the dedup
-    /// table (plus nothing at all for codes when
+    /// Expanded configurations are recycled into the successor pool as
+    /// soon as their successors are interned, so memory scales with the
+    /// frontier plus the dedup table (plus nothing at all for codes when
     /// [`spill`](Explorer::spill) is on), not with the full graph. This
     /// is the mode the E19 scale experiment runs in.
     ///
@@ -510,7 +534,7 @@ impl<M: Machine> StateGraph<M> {
     /// The number of reachable states.
     #[must_use]
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        self.parents.len()
     }
 
     /// The total number of transitions.
@@ -519,19 +543,104 @@ impl<M: Machine> StateGraph<M> {
         self.edges.len()
     }
 
-    /// The configuration of state `id`.
+    /// The configuration of state `id`, regenerated by replaying its
+    /// discovery path from the initial state: O(depth of `id`) steps, for
+    /// witnesses and spot checks. To look at every state, use
+    /// [`for_each_state`](StateGraph::for_each_state).
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     #[must_use]
-    pub fn state(&self, id: usize) -> &Simulation<M> {
-        &self.states[id]
+    pub fn state(&self, id: usize) -> Simulation<M> {
+        let mut sim = self.initial.clone();
+        for action in self.actions_to(id) {
+            match action {
+                ScheduleAction::Step(proc) => sim.step_quiet(proc).map(drop),
+                ScheduleAction::Crash(proc) => sim.crash_quiet(proc),
+            }
+            .expect("a discovery path replays");
+        }
+        sim
     }
 
-    /// Iterates over all states with their ids.
-    pub fn states(&self) -> impl Iterator<Item = (usize, &Simulation<M>)> {
-        self.states.iter().enumerate()
+    /// Calls `f(id, state)` for every state, in **tree order**: a
+    /// depth-first walk of the discovery tree from state `0`, each state
+    /// after the state that discovered it, children in ascending id.
+    /// Ids are not visited in ascending order; a caller that needs random
+    /// access collects the states itself.
+    ///
+    /// Each state is regenerated from its parent with one step (or
+    /// crash) into a buffer reused per tree level, so the walk allocates
+    /// only the children index and one `Simulation` per level.
+    pub fn for_each_state(&self, mut f: impl FnMut(usize, &Simulation<M>)) {
+        self.visit(|id, state| {
+            f(id, state);
+            true
+        });
+    }
+
+    /// The regenerating walk behind
+    /// [`for_each_state`](StateGraph::for_each_state): `visit(id, state)`
+    /// returns whether to descend below `id`. Every descendant of `id`
+    /// has a larger id, so a caller that only wants ids below some bound
+    /// prunes every subtree rooted at or above it.
+    pub(crate) fn visit(&self, mut visit: impl FnMut(usize, &Simulation<M>) -> bool) {
+        let n = self.parents.len();
+        // Children index, by a counting sort on the parent: `at[p + 1]`
+        // counts, then ends, then (filled backwards) starts the children
+        // of `p`, so they are `children[at[p + 1]..at[p + 2]]`, in
+        // ascending id.
+        let mut at = vec![0u32; n + 2];
+        for parent in self.parents.iter().skip(1) {
+            at[parent.state as usize + 1] += 1;
+        }
+        for i in 1..at.len() {
+            at[i] += at[i - 1];
+        }
+        let mut children = vec![0u32; n.saturating_sub(1)];
+        for id in (1..n).rev() {
+            let parent = self.parents[id].state as usize;
+            debug_assert!(parent < id, "state {id} has parent {parent}");
+            at[parent + 1] -= 1;
+            children[at[parent + 1] as usize] = id as u32;
+        }
+        let range = |id: usize| at[id + 1] as usize..at[id + 2] as usize;
+        if !visit(0, &self.initial) {
+            return;
+        }
+        // `levels[d - 1]` holds the state at tree depth `d` on the
+        // current path; `path[d]` holds the children of that path's node at
+        // depth `d` that are still to visit.
+        let mut levels: Vec<Simulation<M>> = Vec::new();
+        let mut path: Vec<Range<usize>> = vec![range(0)];
+        while let Some(next) = path.last_mut() {
+            let Some(at_child) = next.next() else {
+                path.pop();
+                continue;
+            };
+            let child = children[at_child] as usize;
+            let depth = path.len();
+            if levels.len() < depth {
+                let from = levels.last().unwrap_or(&self.initial).clone();
+                levels.push(from);
+            } else {
+                let (above, here) = levels.split_at_mut(depth - 1);
+                here[0].clone_from(above.last().unwrap_or(&self.initial));
+            }
+            let state = &mut levels[depth - 1];
+            let Parent { proc, crash, .. } = self.parents[child];
+            let proc = proc as usize;
+            if crash {
+                state.crash_quiet(proc)
+            } else {
+                state.step_quiet(proc).map(drop)
+            }
+            .expect("a discovery transition replays");
+            if visit(child, state) {
+                path.push(range(child));
+            }
+        }
     }
 
     /// The outgoing transitions of state `id`.
@@ -545,14 +654,26 @@ impl<M: Machine> StateGraph<M> {
     }
 
     /// Finds a reachable state satisfying `pred` (a safety-violation
-    /// search). States are scanned in discovery (BFS/DFS mix) order, so the
-    /// returned state is reachable by the schedule from
+    /// search) and returns the smallest such id, so the answer does not
+    /// depend on the order states are regenerated in. The returned state
+    /// is reachable by the schedule from
     /// [`schedule_to`](StateGraph::schedule_to).
     pub fn find_state<F>(&self, mut pred: F) -> Option<usize>
     where
         F: FnMut(&Simulation<M>) -> bool,
     {
-        (0..self.states.len()).find(|&id| pred(&self.states[id]))
+        let mut found = None;
+        self.visit(|id, state| {
+            if found.is_some_and(|best| best < id) {
+                return false;
+            }
+            if pred(state) {
+                found = Some(id);
+                return false;
+            }
+            true
+        });
+        found
     }
 
     /// Reconstructs the adversary schedule (sequence of process slots, one
@@ -690,45 +811,62 @@ impl<M: Machine> StateGraph<M> {
         FS: FnMut(&M) -> bool,
         FP: FnMut(&M::Event) -> bool,
     {
-        let mut progress = |e: &Edge<M::Event>| e.events.iter().any(&mut is_progress);
-        let sccs = self.tarjan(|e| Some(e.proc) != victim || !progress(e));
-        let mut in_scc = vec![false; self.states.len()];
-        for scc in canonicalize_sccs(sccs) {
-            for &id in &scc {
-                in_scc[id] = true;
+        let mut progress = |e: &Edge<M::Event>| e.events.as_ref().is_some_and(&mut is_progress);
+        let sccs = canonicalize_sccs(self.tarjan(|e| Some(e.proc) != victim || !progress(e)));
+        if sccs.is_empty() {
+            return None;
+        }
+        const NONE: u32 = u32::MAX;
+        let mut comp = vec![NONE; self.state_count()];
+        for (c, scc) in sccs.iter().enumerate() {
+            for &id in scc {
+                comp[id] = c as u32;
             }
+        }
+        // One regenerating pass collects, per component, the processes
+        // that are halted and the processes that are `stuck` somewhere in
+        // it: bitsets of `words` words per component. Halting is
+        // permanent, so every state of a component has the same halted
+        // set.
+        let n = self.initial.process_count();
+        let words = n.div_ceil(64);
+        let mut halted = vec![0u64; sccs.len() * words];
+        let mut stuck_at = vec![0u64; sccs.len() * words];
+        self.for_each_state(|id, state| {
+            if comp[id] == NONE {
+                return;
+            }
+            let c = comp[id] as usize;
+            for p in 0..n {
+                let (word, bit) = (c * words + p / 64, 1u64 << (p % 64));
+                if state.is_halted(p) {
+                    halted[word] |= bit;
+                } else if victim.is_none_or(|v| v == p) && stuck(state.machine(p)) {
+                    stuck_at[word] |= bit;
+                }
+            }
+        });
+        for (c, scc) in sccs.into_iter().enumerate() {
+            let has = |set: &[u64], p: usize| set[c * words + p / 64] >> (p % 64) & 1 == 1;
             // The transitions that stay inside the component.
             let inside = || {
                 scc.iter()
                     .flat_map(|&id| self.edges(id))
-                    .filter(|e| in_scc[e.target])
+                    .filter(|e| comp[e.target] == c as u32)
             };
             let progresses =
                 inside().any(|e| Some(e.proc) != victim && progress(e)) == victim.is_some();
             // Fairness: every live process — at least one, the victim
-            // included — can keep moving inside the component. Halting is
-            // permanent, so the live set is constant across a component;
-            // take it from the first state.
-            let first = &self.states[scc[0]];
-            let n = first.process_count();
-            let live = (0..n).filter(|&p| !first.is_halted(p));
+            // included — can keep moving inside the component.
+            let live = (0..n).filter(|&p| !has(&halted, p));
             let fair = live.clone().next().is_some()
-                && victim.is_none_or(|v| v < n && !first.is_halted(v))
+                && victim.is_none_or(|v| v < n && !has(&halted, v))
                 && live
                     .clone()
                     .all(|p| inside().any(|e| e.proc == p && (Some(p) != victim || !progress(e))));
             // Someone (the victim, if there is one) is stuck somewhere in
             // the component.
-            let qualifies = progresses
-                && fair
-                && scc.iter().any(|&id| {
-                    live.clone()
-                        .any(|p| victim.is_none_or(|v| v == p) && stuck(self.states[id].machine(p)))
-                });
-            for &id in &scc {
-                in_scc[id] = false;
-            }
-            if qualifies {
+            if progresses && fair && live.clone().any(|p| has(&stuck_at, p)) {
                 return Some(scc);
             }
         }
@@ -744,7 +882,7 @@ impl<M: Machine> StateGraph<M> {
         // the Tarjan stack, then DONE once its component is emitted.
         const UNVISITED: u32 = u32::MAX;
         const DONE: u32 = u32::MAX - 1;
-        let n = self.states.len();
+        let n = self.state_count();
         let (mut index, mut low) = (vec![UNVISITED; n], vec![0u32; n]);
         let mut counter = 0u32;
         let mut stack: Vec<u32> = Vec::new();
@@ -802,7 +940,7 @@ impl<M: Machine> StateGraph<M> {
 impl<M: Machine> fmt::Debug for StateGraph<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StateGraph")
-            .field("states", &self.states.len())
+            .field("states", &self.state_count())
             .field("edges", &self.edge_count())
             .finish()
     }
@@ -950,7 +1088,7 @@ mod tests {
         for &p in &schedule {
             sim.step(p).unwrap();
         }
-        assert!(sim.same_configuration(graph.state(id)));
+        assert!(sim.same_configuration(&graph.state(id)));
     }
 
     #[test]
@@ -1154,7 +1292,7 @@ mod tests {
             .unwrap();
         let graph = Explorer::new(sim).run().unwrap();
         let has_event_edge = (0..graph.state_count())
-            .any(|id| graph.edges(id).iter().any(|e| e.events.contains(&"wrote")));
+            .any(|id| graph.edges(id).iter().any(|e| e.events == Some("wrote")));
         assert!(has_event_edge);
     }
 
@@ -1179,26 +1317,37 @@ mod tests {
             .unwrap()
     }
 
+    /// The graph's states, indexed by id.
+    fn states_by_id<M: Machine>(graph: &StateGraph<M>) -> Vec<Simulation<M>> {
+        let mut states = vec![None; graph.state_count()];
+        graph.for_each_state(|id, state| states[id] = Some(state.clone()));
+        states
+            .into_iter()
+            .map(|s| s.expect("every state is visited"))
+            .collect()
+    }
+
     /// Asserts `a` and `b` are the same graph up to state renumbering.
     fn assert_isomorphic<M: Machine + Eq + Hash>(a: &StateGraph<M>, b: &StateGraph<M>) {
         assert_eq!(a.state_count(), b.state_count());
         assert_eq!(a.edge_count(), b.edge_count());
         // Configurations are unique within a graph, so fingerprint +
         // equality gives a bijection.
+        let (a_states, b_states) = (states_by_id(a), states_by_id(b));
         let mut by_fp: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (id, s) in b.states() {
+        for (id, s) in b_states.iter().enumerate() {
             by_fp.entry(s.fingerprint()).or_default().push(id);
         }
         let mut map = vec![usize::MAX; a.state_count()];
-        for (id, s) in a.states() {
+        for (id, s) in a_states.iter().enumerate() {
             let candidates = by_fp.get(&s.fingerprint()).expect("fingerprint matches");
             map[id] = *candidates
                 .iter()
-                .find(|&&c| s.same_configuration(b.state(c)))
+                .find(|&&c| s.same_configuration(&b_states[c]))
                 .expect("configuration present in both graphs");
         }
         // Edge multisets agree under the bijection.
-        for (id, _) in a.states() {
+        for id in 0..a.state_count() {
             let mut ea: Vec<(usize, usize, bool, String)> = a
                 .edges(id)
                 .iter()
@@ -1429,9 +1578,9 @@ mod tests {
         for por in [false, true] {
             let graph = Explorer::new(two_toys()).por(por).run().unwrap();
             let mut codes = Vec::new();
-            for (_, sim) in graph.states() {
+            graph.for_each_state(|_, sim| {
                 encoder.encode_into(sim, &mut codes);
-            }
+            });
             for threads in [1, 3] {
                 let stats = Explorer::new(two_toys())
                     .por(por)
@@ -1607,7 +1756,7 @@ mod tests {
     fn numbering_digest<M: Machine + Eq + Hash>(graph: &StateGraph<M>) -> u64 {
         use std::hash::Hasher;
         let mut h = anonreg_model::fingerprint::Fnv64::new();
-        for (id, state) in graph.states() {
+        for (id, state) in states_by_id(graph).iter().enumerate() {
             h.write_u64(state.fingerprint());
             // Rendered as `Option<(parent, proc, crash)>`, the form the
             // pinned digests were taken in.
@@ -1640,6 +1789,61 @@ mod tests {
                 expected,
                 "crashes={crashes} por={por}"
             );
+        }
+    }
+
+    /// `find_state` answers with the smallest matching id, whichever
+    /// order the states are regenerated in and however many workers
+    /// numbered them.
+    #[test]
+    fn find_state_returns_the_smallest_matching_id() {
+        for threads in [1, 4] {
+            let graph = Explorer::new(two_toys())
+                .crashes(true)
+                .parallelism(threads)
+                .run()
+                .unwrap();
+            let states = states_by_id(&graph);
+            for pred in [
+                Simulation::all_halted as fn(&Simulation<Toy>) -> bool,
+                |s| s.registers()[0] == 2,
+                |s| s.is_halted(1) && !s.is_halted(0),
+                |s| s.registers()[0] == 7,
+            ] {
+                let smallest = (0..states.len()).find(|&id| pred(&states[id]));
+                assert_eq!(graph.find_state(pred), smallest, "{threads} workers");
+            }
+            // Several terminal states match, so the first predicate has a
+            // smallest id to get right.
+            let halted = states.iter().filter(|s| s.all_halted()).count();
+            assert!(halted > 1, "{threads} workers: {halted} terminal states");
+        }
+    }
+
+    /// An edge is two words and two bytes: no heap block, no vector.
+    #[test]
+    fn a_mutex_edge_is_three_words() {
+        use anonreg::mutex::MutexEvent;
+        assert_eq!(std::mem::size_of::<Edge<MutexEvent>>(), 24);
+    }
+
+    /// `state(id)` replays the discovery path; it agrees with the
+    /// regenerating walk on every state.
+    #[test]
+    fn state_agrees_with_the_walk() {
+        for threads in [1, 3] {
+            let graph = Explorer::new(two_toys())
+                .crashes(true)
+                .parallelism(threads)
+                .run()
+                .unwrap();
+            let mut visited = 0;
+            graph.for_each_state(|id, state| {
+                assert!(state.same_configuration(&graph.state(id)), "state {id}");
+                assert_eq!(state.trace().len(), 0);
+                visited += 1;
+            });
+            assert_eq!(visited, graph.state_count());
         }
     }
 

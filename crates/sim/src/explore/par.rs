@@ -2,8 +2,9 @@
 //!
 //! One worker loop serves every run. Graph mode
 //! ([`Explorer::run`](super::Explorer::run)) is stats mode
-//! ([`Explorer::run_stats`](super::Explorer::run_stats)) plus a sink that keeps each
-//! expanded state with its edges. `parallelism(1)` is the single-worker
+//! ([`Explorer::run_stats`](super::Explorer::run_stats)) plus a record of
+//! each expanded state's discovering transition and edges; it keeps no
+//! state but the initial one. `parallelism(1)` is the single-worker
 //! case: the lone worker runs on the calling thread, pops its own deque
 //! last-in first-out and interns successors in expansion order, so it
 //! numbers states in one deterministic depth-first order — the canonical
@@ -39,19 +40,26 @@
 //!   expanded state with `clone_from`, which reuses the entry's register,
 //!   slot and machine buffers, before stepping it. An entry's
 //!   `Simulation` leaves the pool only when the table says `Fresh`; a
-//!   dedup hit frees nothing. In stats mode the expanded state, no longer
-//!   needed, refills the hole a fresh successor left. Every state shares
-//!   the initial state's view table, and a refill leaves that table's
-//!   reference count alone.
+//!   dedup hit frees nothing. The expanded state, no longer needed in
+//!   either mode, refills the hole a fresh successor left. Every state
+//!   shares the initial state's view table, and a refill leaves that
+//!   table's reference count alone.
 //! * **Fresh states travel with the work items** — a fresh successor's
-//!   `Simulation` is moved out of the pool into its frontier entry and,
-//!   in graph mode, into the graph sink only after its expansion, so no
-//!   state is ever stored and then recloned for expansion.
-//! * **One edge arena** — a worker collects a state's edges in one reused
-//!   buffer; the sink appends them to the graph's single edge arena and
-//!   records the state's span of it, with its discovering transition as a
-//!   compact [`Parent`] record. States reach the sink in expansion order,
-//!   not id order, so the sink indexes spans, parents and states by id.
+//!   `Simulation` is moved out of the pool into its frontier entry and
+//!   back into the pool after its expansion, so no state is ever stored
+//!   or recloned for expansion.
+//! * **Graph shards, no lock** — in graph mode each worker appends, per
+//!   expanded state, its id, its discovering transition (a compact
+//!   [`Parent`] record) and the end of its edges to a [`Shard`] of its
+//!   own, and the edges to the shard's one arena. States are expanded in
+//!   race order, not id order, so after the joins one pass places
+//!   parents and edge spans by id; a lone worker's arena becomes the
+//!   graph's as it is, several are concatenated once. Machines are
+//!   deterministic, so the parent records fix every state: the
+//!   [`StateGraph`] regenerates states from the initial one instead of
+//!   storing them. The worker that wins `Fresh` for an id writes its
+//!   record, so under symmetry reduction the regenerated state is that
+//!   worker's concrete representative.
 //! * **Depth-first locally, breadth-first across workers** — each worker
 //!   pops depth-first from the back of its own deque (keeps the hot end
 //!   of the frontier in cache) and steals breadth-first from the front of
@@ -301,55 +309,81 @@ impl FlushedCounters {
     }
 }
 
-/// Graph mode's output, indexed by state id and filled as states are
-/// expanded: the graph's own layout, with each state slot empty until its
-/// state arrives.
-struct GraphSink<M: Machine> {
-    states: Vec<Option<Simulation<M>>>,
-    edges: Vec<Edge<M::Event>>,
-    spans: Vec<Range<usize>>,
+/// One worker's share of the graph, in expansion order: the ids it
+/// expanded, their discovering transitions, where each state's edges end
+/// in the worker's edge arena, and that arena. Only the worker appends to
+/// it, so graph assembly takes no lock; the shards are placed by id once,
+/// after the joins.
+struct Shard<E> {
+    ids: Vec<u32>,
     parents: Vec<Parent>,
+    ends: Vec<usize>,
+    edges: Vec<Edge<E>>,
 }
 
-impl<M: Machine> GraphSink<M> {
-    /// Stores expanded state `id`, moving its edges out of `edges` into the
-    /// arena (the caller's buffer keeps its capacity).
-    fn record(
-        &mut self,
-        id: usize,
-        state: Simulation<M>,
-        parent: Parent,
-        edges: &mut Vec<Edge<M::Event>>,
-    ) {
-        if self.states.len() <= id {
-            self.states.resize_with(id + 1, || None);
-            self.spans.resize(id + 1, 0..0);
-            self.parents.resize(id + 1, Parent::default());
+impl<E> Default for Shard<E> {
+    fn default() -> Self {
+        Shard {
+            ids: Vec::new(),
+            parents: Vec::new(),
+            ends: Vec::new(),
+            edges: Vec::new(),
         }
-        let start = self.edges.len();
-        self.edges.append(edges);
-        self.states[id] = Some(state);
-        self.spans[id] = start..self.edges.len();
-        self.parents[id] = parent;
     }
+}
 
-    /// The finished graph of `total` states. `Option<Simulation>` is a
-    /// `Simulation` with a niche, so the unwrapping collect reuses the
-    /// vector's buffer: assembly never holds a second copy of the states.
-    fn into_graph(mut self, total: usize) -> StateGraph<M> {
-        self.states.resize_with(total, || None);
-        self.spans.resize(total, 0..0);
-        self.parents.resize(total, Parent::default());
-        StateGraph {
-            states: self
-                .states
-                .into_iter()
-                .map(|s| s.expect("every interned state was expanded"))
-                .collect(),
-            edges: self.edges,
-            spans: self.spans,
-            parents: self.parents,
+impl<E> Shard<E> {
+    /// Closes expanded state `id`: its edges are the ones pushed since the
+    /// previous state closed.
+    fn close(&mut self, id: u32, parent: Parent) {
+        self.ids.push(id);
+        self.parents.push(parent);
+        self.ends.push(self.edges.len());
+    }
+}
+
+/// Places the workers' shards by id: the graph of `total` states rooted at
+/// `initial`. One shard's edge arena is taken as it is; several are
+/// concatenated once.
+fn assemble<M: Machine>(
+    initial: Simulation<M>,
+    total: usize,
+    mut shards: Vec<Shard<M::Event>>,
+) -> StateGraph<M> {
+    let mut parents = vec![Parent::default(); total];
+    let mut spans = vec![0..0; total];
+    let concat = shards.len() > 1;
+    let mut edges = if concat {
+        Vec::with_capacity(shards.iter().map(|s| s.edges.len()).sum())
+    } else {
+        shards
+            .first_mut()
+            .map(|s| std::mem::take(&mut s.edges))
+            .unwrap_or_default()
+    };
+    let mut placed = 0;
+    for shard in &mut shards {
+        let offset = if concat {
+            let offset = edges.len();
+            edges.append(&mut shard.edges);
+            offset
+        } else {
+            0
+        };
+        let mut start = offset;
+        for ((&id, &parent), &end) in shard.ids.iter().zip(&shard.parents).zip(&shard.ends) {
+            parents[id as usize] = parent;
+            spans[id as usize] = start..offset + end;
+            start = offset + end;
         }
+        placed += shard.ids.len();
+    }
+    debug_assert_eq!(placed, total, "every interned state was expanded once");
+    StateGraph {
+        initial,
+        edges,
+        spans,
+        parents,
     }
 }
 
@@ -404,8 +438,8 @@ struct Ctx<M: Machine, S: CodeStore> {
     /// The phase interns are charged to: [`Phase::Spill`] when the probe
     /// includes the LRU/file tier, so profiles separate table time from IO.
     intern_phase: Phase,
-    /// Graph mode only.
-    sink: Option<Mutex<GraphSink<M>>>,
+    /// Graph mode: each worker fills a [`Shard`].
+    collect_graph: bool,
     /// One frontier deque per worker.
     queues: Vec<Padded<Mutex<VecDeque<WorkItem<M>>>>>,
     /// Discovered-but-unexpanded states (see module docs).
@@ -446,9 +480,12 @@ impl Drop for PendingGuard<'_> {
     }
 }
 
-/// What one worker brings home: its tallies.
-#[derive(Default)]
-struct WorkerOut {
+/// What one worker brings home: its tallies, its graph shard (graph mode)
+/// and its phase timer, still running, for the caller to finish.
+struct WorkerOut<E> {
+    /// Graph mode only.
+    shard: Option<Shard<E>>,
+    timer: Option<PhaseTimer>,
     /// States expanded.
     expanded: u64,
     /// States this worker discovered (interned as `Fresh`).
@@ -467,15 +504,23 @@ struct WorkerOut {
     por: PorTally,
 }
 
-/// Pops the next work item: own deque from the back, else a sweep of the
-/// other workers' deques from the front.
+/// Pops the next work item: own deque from the back (charged to
+/// [`Phase::Pop`]), else a sweep of the other workers' deques from the
+/// front (charged to [`Phase::Steal`]).
 fn pop_work<M: Machine, S: CodeStore>(
     me: usize,
     ctx: &Ctx<M, S>,
     steals: &mut u64,
+    timer: &mut Option<PhaseTimer>,
 ) -> Option<WorkItem<M>> {
+    if let Some(t) = timer.as_mut() {
+        t.switch(Phase::Pop);
+    }
     if let Some(item) = ctx.queues[me].lock().expect("queue lock").pop_back() {
         return Some(item);
+    }
+    if let Some(t) = timer.as_mut() {
+        t.switch(Phase::Steal);
     }
     let n = ctx.queues.len();
     for offset in 1..n {
@@ -489,15 +534,15 @@ fn pop_work<M: Machine, S: CodeStore>(
 }
 
 /// One worker's main loop; `writer` is worker `me`'s writer of the
-/// dedup table.
+/// dedup table and `timer` its phase timer, if the run is profiled.
 fn worker<M, P, S>(
     me: usize,
     mut writer: Writer<'_, S>,
     ctx: &Ctx<M, S>,
     probe: &P,
     encoder: &StateEncoder<M>,
-    profiler: Option<&Profiler>,
-) -> WorkerOut
+    mut timer: Option<PhaseTimer>,
+) -> WorkerOut<M::Event>
 where
     M: Machine + Eq + Hash,
     P: Probe,
@@ -508,26 +553,31 @@ where
     if per_worker {
         probe.span_open(Span::ExploreWorker, me as u64);
     }
-    let mut timer = profiler.map(|p| p.timer(me as u64));
-    let mut out = WorkerOut::default();
+    let mut out = WorkerOut {
+        shard: ctx.collect_graph.then(Shard::default),
+        timer: None,
+        expanded: 0,
+        fresh: 0,
+        code_bytes: 0,
+        dedup: 0,
+        steals: 0,
+        edge_total: 0,
+        max_depth: 0,
+        por: PorTally::default(),
+    };
     let mut encoding = Encoding::new::<P>(encoder);
     let should_abort = || ctx.aborted.load(Ordering::Relaxed);
     let mut flushed = FlushedCounters::default();
     // The successor pool, grown on the first expansion and refilled in
     // place by every later one.
     let mut successors: Vec<Successor<M>> = Vec::new();
-    // Graph mode: the expanded state's edges, moved into the sink's arena.
-    let mut edges_out: Vec<Edge<M::Event>> = Vec::new();
     // A batch's codes sit back to back in `codes`; each entry keeps its
     // successor's pool index and the byte range of its own code.
     let mut batch: Vec<(usize, Range<usize>, Fp128)> = Vec::with_capacity(FP_BATCH);
     let mut codes: Vec<u8> = Vec::new();
     let mut idle = 0u32;
     'outer: while !ctx.aborted.load(Ordering::Relaxed) {
-        if let Some(t) = timer.as_mut() {
-            t.switch(Phase::Steal);
-        }
-        let Some(item) = pop_work(me, ctx, &mut out.steals) else {
+        let Some(item) = pop_work(me, ctx, &mut out.steals, &mut timer) else {
             if ctx.pending.load(Ordering::Relaxed) == 0 {
                 break;
             }
@@ -622,26 +672,25 @@ where
                     }
                 };
                 out.edge_total += 1;
-                if ctx.sink.is_some() {
-                    edges_out.push(Edge {
+                if let Some(shard) = out.shard.as_mut() {
+                    shard.edges.push(Edge {
                         proc: succ.proc,
                         target: target as usize,
-                        events: succ.event.take().into_iter().collect(),
+                        events: succ.event.take(),
                         crash: succ.crash,
                     });
                 }
             }
         }
-        if let Some(sink) = &ctx.sink {
+        if let Some(shard) = out.shard.as_mut() {
             if let Some(t) = timer.as_mut() {
                 t.switch(Phase::Record);
             }
-            sink.lock()
-                .expect("sink lock")
-                .record(id as usize, state, parent, &mut edges_out);
-        } else if let Some(hole) = successors.iter_mut().find(|s| s.sim.is_none()) {
-            // Stats mode: the expanded state refills the hole a fresh
-            // successor left, so the pool never outgrows one expansion.
+            shard.close(id, parent);
+        }
+        // The expanded state refills the hole a fresh successor left, so
+        // the pool never outgrows one expansion.
+        if let Some(hole) = successors.iter_mut().find(|s| s.sim.is_none()) {
             hole.sim = Some(state);
         }
         out.expanded += 1;
@@ -668,7 +717,7 @@ where
             probe.span_close(Span::ExploreWorker, me as u64, out.expanded);
         }
     }
-    record_timer(profiler, timer);
+    out.timer = timer;
     out
 }
 
@@ -687,17 +736,23 @@ where
     M: Machine + Eq + Hash,
     P: Probe,
 {
+    // Worker 0's timer also covers the run's setup and teardown on this
+    // thread.
+    let mut timer = profiler.map(|p| p.timer(0));
+    if let Some(t) = timer.as_mut() {
+        t.switch(Phase::Setup);
+    }
     if config.spill {
         // The spill location packs a 5-bit worker index.
         let threads = threads.min(32);
         let store =
             SpillStore::new(threads, SPILL_LRU_BUDGET).expect("spill temp files must be creatable");
         let ctx = Ctx::new(config, threads, collect_graph, store, Phase::Spill);
-        explore(ctx, initial, config, probe, encoder, profiler)
+        explore(ctx, initial, config, probe, encoder, profiler, timer)
     } else {
         let store = InMemory::new(threads);
         let ctx = Ctx::new(config, threads, collect_graph, store, Phase::Dedup);
-        explore(ctx, initial, config, probe, encoder, profiler)
+        explore(ctx, initial, config, probe, encoder, profiler, timer)
     }
 }
 
@@ -715,14 +770,7 @@ impl<M: Machine, S: CodeStore> Ctx<M, S> {
         Ctx {
             table: FpTable::new(config.max_states, store),
             intern_phase,
-            sink: collect_graph.then(|| {
-                Mutex::new(GraphSink {
-                    states: Vec::new(),
-                    edges: Vec::new(),
-                    spans: Vec::new(),
-                    parents: Vec::new(),
-                })
-            }),
+            collect_graph,
             queues: (0..threads).map(|_| Padded::default()).collect(),
             pending: Padded::default(),
             aborted: Padded::default(),
@@ -739,21 +787,25 @@ thread_local! {
     pub(super) static TABLE_SLOTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
+/// Runs the workers over `ctx` from `initial`; `timer` is worker 0's,
+/// already charging [`Phase::Setup`].
 fn explore<M, P, S>(
     ctx: Ctx<M, S>,
-    initial: Simulation<M>,
+    mut initial: Simulation<M>,
     config: &ExploreConfig,
     probe: &P,
     encoder: &StateEncoder<M>,
     profiler: Option<&Profiler>,
+    mut timer: Option<PhaseTimer>,
 ) -> Result<(Option<StateGraph<M>>, ExploreStats), ExploreError>
 where
     M: Machine + Eq + Hash,
     P: Probe,
     S: CodeStore,
 {
-    let mut initial = initial;
     initial.clear_trace();
+    // The graph's root; every other state is regenerated from it.
+    let root = ctx.collect_graph.then(|| initial.clone());
 
     if P::ENABLED {
         probe.span_open(Span::Explore, 0);
@@ -774,9 +826,10 @@ where
         }
         TableProbe::Limit => {
             if P::ENABLED {
-                report_totals(probe, 0, 0, &[]);
+                report_totals::<_, M::Event>(probe, 0, 0, &[]);
                 probe.span_close(Span::Explore, 0, 0);
             }
+            record_timer(profiler, timer);
             return Err(ExploreError::StateLimitExceeded {
                 limit: config.max_states,
             });
@@ -793,30 +846,48 @@ where
             sim: initial,
         });
 
-    let joins: Vec<std::thread::Result<WorkerOut>> = if writers.len() == 1 {
-        // The lone worker runs here: a run pays no thread spawn.
-        let writer = writers.pop().expect("one writer");
-        vec![std::panic::catch_unwind(AssertUnwindSafe(|| {
-            worker(0, writer, &ctx, probe, encoder, profiler)
-        }))]
+    // Worker 0 carries the calling thread's timer and hands it back when
+    // it exits; waiting for the other workers is then charged to
+    // teardown. A lone worker runs here, so a one-worker run pays no
+    // thread spawn. With several, worker 0 runs on a scoped thread like
+    // the others: on the calling thread it measured ~7 % slower on a
+    // two-worker stats run (2-core host). The others, spawned first so
+    // the spawns are charged to setup, finish their own timers.
+    let rest = writers.split_off(1);
+    let writer = writers.pop().expect("worker 0's writer");
+    let mut joins: Vec<std::thread::Result<WorkerOut<M::Event>>> =
+        Vec::with_capacity(1 + rest.len());
+    if rest.is_empty() {
+        joins.push(std::panic::catch_unwind(AssertUnwindSafe(|| {
+            worker(0, writer, &ctx, probe, encoder, timer.take())
+        })));
+        hand_back(&mut joins[0], &mut timer);
     } else {
         std::thread::scope(|s| {
-            let handles: Vec<_> = writers
+            let ctx = &ctx;
+            let handles: Vec<_> = rest
                 .into_iter()
                 .enumerate()
                 .map(|(i, writer)| {
-                    let ctx = &ctx;
-                    s.spawn(move || worker(i, writer, ctx, probe, encoder, profiler))
+                    let timer = profiler.map(|p| p.timer(i as u64 + 1));
+                    s.spawn(move || {
+                        let mut out = worker(i + 1, writer, ctx, probe, encoder, timer);
+                        record_timer(profiler, out.timer.take());
+                        out
+                    })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(std::thread::ScopedJoinHandle::join)
-                .collect()
-        })
-    };
+            let timer0 = timer.take();
+            joins.push(
+                s.spawn(move || worker(0, writer, ctx, probe, encoder, timer0))
+                    .join(),
+            );
+            hand_back(&mut joins[0], &mut timer);
+            joins.extend(handles.into_iter().map(std::thread::ScopedJoinHandle::join));
+        });
+    }
     let mut panicked = None;
-    let mut outs: Vec<WorkerOut> = Vec::with_capacity(joins.len());
+    let mut outs: Vec<WorkerOut<M::Event>> = Vec::with_capacity(joins.len());
     for join in joins {
         match join {
             Ok(out) => outs.push(out),
@@ -850,18 +921,35 @@ where
     #[cfg(test)]
     TABLE_SLOTS.set(ctx.table.capacity());
 
-    if let Some(message) = panicked {
-        return Err(ExploreError::WorkerPanicked { message });
-    }
-    if ctx.aborted.load(Ordering::Relaxed) {
-        return Err(ExploreError::StateLimitExceeded {
+    let aborted = ctx.aborted.load(Ordering::Relaxed);
+    drop(ctx);
+    let result = if let Some(message) = panicked {
+        Err(ExploreError::WorkerPanicked { message })
+    } else if aborted {
+        Err(ExploreError::StateLimitExceeded {
             limit: config.max_states,
+        })
+    } else {
+        let graph = root.map(|root| {
+            let shards = outs.iter_mut().filter_map(|o| o.shard.take()).collect();
+            assemble(root, total, shards)
         });
+        Ok((graph, stats))
+    };
+    drop(outs);
+    record_timer(profiler, timer);
+    result
+}
+
+/// Takes worker 0's timer back from its result, if it did not panic, and
+/// charges what follows to teardown.
+fn hand_back<E>(zero: &mut std::thread::Result<WorkerOut<E>>, timer: &mut Option<PhaseTimer>) {
+    if let Ok(out) = zero {
+        *timer = out.timer.take();
     }
-    let graph = ctx
-        .sink
-        .map(|sink| sink.into_inner().expect("sink lock").into_graph(total));
-    Ok((graph, stats))
+    if let Some(t) = timer.as_mut() {
+        t.switch(Phase::Teardown);
+    }
 }
 
 /// A worker's panic message: the `&str` or `String` payload that `panic!`
@@ -881,7 +969,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// worker) and, on an aborted run, ids assigned past the flushed counts.
 /// Dedup hits are fully flushed per worker (keyed by worker index), so
 /// only states and edges can have a remainder.
-fn report_totals<P: Probe>(probe: &P, states: u64, edges: u64, outs: &[WorkerOut]) {
+fn report_totals<P: Probe, E>(probe: &P, states: u64, edges: u64, outs: &[WorkerOut<E>]) {
     let flushed_states: u64 = outs.iter().map(|o| o.fresh).sum();
     let flushed_edges: u64 = outs.iter().map(|o| o.edge_total).sum();
     probe.counter(

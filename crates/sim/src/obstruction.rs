@@ -17,6 +17,7 @@ use anonreg_model::Machine;
 use anonreg_obs::{Metric, NoopProbe, Probe, Span};
 
 use crate::explore::StateGraph;
+use crate::Simulation;
 
 /// A refutation of obstruction freedom: from a reachable state, a process
 /// ran alone for the full budget without halting.
@@ -94,12 +95,21 @@ where
     P: Probe,
 {
     let mut report = ObstructionReport::default();
-    for (id, state) in graph.states() {
+    // The smallest violating `(state, proc)`: states are regenerated in
+    // tree order, and every descendant of a state has a larger id, so
+    // once a violation is known only smaller ids are still searched.
+    let mut violation: Option<(usize, usize)> = None;
+    let mut solo: Option<Simulation<M>> = None;
+    graph.visit(|id, state| {
+        if violation.is_some_and(|(smallest, _)| smallest < id) {
+            return false;
+        }
         for proc in 0..state.process_count() {
             if state.is_halted(proc) {
                 continue;
             }
-            let mut solo = state.clone();
+            let solo = solo.get_or_insert_with(|| state.clone());
+            solo.clone_from(state);
             if P::ENABLED {
                 probe.span_open(Span::SoloRun, proc as u64);
             }
@@ -110,23 +120,27 @@ where
                 probe.histogram(Metric::SoloOps, 0, ops as u64);
             }
             if !halted {
-                return Err(ObstructionViolation {
-                    state: id,
-                    proc,
-                    budget,
-                });
+                violation = Some((id, proc));
+                return false;
             }
             report.max_solo_ops = report.max_solo_ops.max(ops);
         }
+        true
+    });
+    match violation {
+        Some((state, proc)) => Err(ObstructionViolation {
+            state,
+            proc,
+            budget,
+        }),
+        None => Ok(report),
     }
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::explore::Explorer;
-    use crate::Simulation;
     use anonreg_model::{Pid, Step, View};
 
     /// Halts after its first write.
@@ -178,6 +192,38 @@ mod tests {
 
         fn resume(&mut self, _read: Option<u64>) -> Step<u64, ()> {
             Step::Read(0)
+        }
+    }
+
+    /// Writes its pid, then reads register 0 until it holds that pid:
+    /// alone, it spins forever once another process overwrote it.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct Loyal {
+        pid: Pid,
+        wrote: bool,
+    }
+
+    impl Machine for Loyal {
+        type Value = u64;
+        type Event = ();
+
+        fn pid(&self) -> Pid {
+            self.pid
+        }
+
+        fn register_count(&self) -> usize {
+            1
+        }
+
+        fn resume(&mut self, read: Option<u64>) -> Step<u64, ()> {
+            if !self.wrote {
+                self.wrote = true;
+                return Step::Write(0, self.pid.get());
+            }
+            match read {
+                Some(v) if v == self.pid.get() => Step::Halt,
+                _ => Step::Read(0),
+            }
         }
     }
 
@@ -240,6 +286,55 @@ mod tests {
         assert_eq!(snap.spans.len(), report.solo_runs);
         // Identical result to the unprobed checker.
         assert_eq!(check_obstruction_freedom(&graph, 10).unwrap(), report);
+    }
+
+    /// Many `(state, proc)` pairs violate; the checker reports the
+    /// smallest, the first a scan of the states in id order meets, at
+    /// any worker count.
+    #[test]
+    fn the_smallest_violation_is_reported() {
+        let build = || {
+            Simulation::builder()
+                .process(
+                    Loyal {
+                        pid: pid(1),
+                        wrote: false,
+                    },
+                    View::identity(1),
+                )
+                .process(
+                    Loyal {
+                        pid: pid(2),
+                        wrote: false,
+                    },
+                    View::identity(1),
+                )
+                .build()
+                .unwrap()
+        };
+        for threads in [1, 4] {
+            let graph = Explorer::new(build()).parallelism(threads).run().unwrap();
+            let mut states = vec![None; graph.state_count()];
+            graph.for_each_state(|id, state| states[id] = Some(state.clone()));
+            let mut violations = Vec::new();
+            for (id, state) in states.iter().enumerate() {
+                let state = state.as_ref().expect("every state is visited");
+                for proc in (0..2).filter(|&p| !state.is_halted(p)) {
+                    if !state.clone().run_solo(proc, 5).unwrap().1 {
+                        violations.push((id, proc));
+                    }
+                }
+            }
+            assert!(violations.len() > 2, "{threads} workers: {violations:?}");
+            let violation = check_obstruction_freedom(&graph, 5).unwrap_err();
+            assert_eq!((violation.state, violation.proc), violations[0]);
+            if threads == 1 {
+                // The canonical numbering's answer, as the checker gave
+                // it when the graph stored every state.
+                assert_eq!((violation.state, violation.proc), (3, 1));
+                assert_eq!(graph.state_count(), 31);
+            }
+        }
     }
 
     #[test]

@@ -125,12 +125,21 @@ where
     let _ = writeln!(out, "digraph {} {{", options.name);
     let _ = writeln!(out, "  rankdir=LR;");
     let _ = writeln!(out, "  node [shape=box, fontsize=9];");
-    for id in 0..shown {
-        let state = graph.state(id);
-        let text = label(state).replace('"', "'");
+    // Labels come from one regenerating walk; every descendant of a
+    // state has a larger id, so the walk skips each subtree rooted at an
+    // id that is not shown.
+    let mut labels = vec![(String::new(), false); shown];
+    graph.visit(|id, state| {
+        let Some(slot) = labels.get_mut(id) else {
+            return false;
+        };
+        *slot = (label(state).replace('"', "'"), state.all_halted());
+        true
+    });
+    for (id, (text, halted)) in labels.iter().enumerate() {
         let fill = if options.highlight.contains(&id) {
             ", style=filled, fillcolor=\"#ffd9d9\""
-        } else if state.all_halted() {
+        } else if *halted {
             ", style=filled, fillcolor=\"#d9ffd9\""
         } else {
             ""
@@ -144,10 +153,10 @@ where
                 continue;
             }
             let mut attrs = vec![format!("label=\"p{}\"", edge.proc)];
-            if !edge.events.is_empty() {
+            if let Some(event) = &edge.events {
                 attrs.push(format!(
-                    "color=blue, fontcolor=blue, label=\"p{} {:?}\"",
-                    edge.proc, edge.events
+                    "color=blue, fontcolor=blue, label=\"p{} [{event:?}]\"",
+                    edge.proc
                 ));
             }
             if edge.crash {
